@@ -2,8 +2,8 @@
 
 Each figure benchmark reproduces one figure/table of the paper: it times
 the experiment (one round — these are minutes-long experiments, not
-micro-benchmarks) and prints the text report whose numbers are recorded in
-``EXPERIMENTS.md``.  Scale with ``REPRO_SCALE`` (quick/default/paper).
+micro-benchmarks) and prints the figure's text report.  Scale with
+``REPRO_SCALE`` (quick/default/paper).
 
 Machine-readable results
 ------------------------

@@ -40,14 +40,17 @@ Two hot-path rewrites (both bit-identical to the frozen oracles in
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.schedule.schedule import Schedule
 from repro.stochastic.batch import BatchedGridEngine
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.rv import NumericRV
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["dodin_makespan"]
 
@@ -60,6 +63,8 @@ def _activity_network(
     model: StochasticModel,
     engine: BatchedGridEngine | None = None,
 ) -> nx.MultiDiGraph:
+    import networkx as nx
+
     w = schedule.workload
     dis = schedule.disjunctive()
     proc = schedule.proc
@@ -185,6 +190,8 @@ def _longest_path_rv(
     maxima are dispatched as batched engine steps (per-node operand order
     unchanged, hence bit-identical to the sequential walk).
     """
+    import networkx as nx
+
     arrival: dict = {}
     for generation in nx.topological_generations(g):
         pairs: list[tuple[NumericRV, NumericRV]] = []

@@ -42,7 +42,7 @@ from repro.campaign.queue import (
     WorkerReport,
     queue_worker,
 )
-from repro.campaign.runner import Campaign, CampaignStats, parallel_map
+from repro.campaign.runner import Campaign, CampaignStats
 from repro.campaign.shard import (
     MergeResult,
     PartialOverlapError,
@@ -90,7 +90,6 @@ __all__ = [
     "expand_suite",
     "get_backend",
     "merge_partials",
-    "parallel_map",
     "partition_cases",
     "queue_worker",
     "run_shard",

@@ -22,9 +22,8 @@ regardless of backend.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from repro.campaign.backend import (
     ExecutionBackend,
@@ -35,10 +34,7 @@ from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
 
-__all__ = ["Campaign", "CampaignStats", "parallel_map"]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+__all__ = ["Campaign", "CampaignStats"]
 
 
 @dataclass
@@ -223,23 +219,3 @@ class Campaign:
             self.stats.requeued = getattr(backend, "requeued", 0)
             self.stats.poisoned = getattr(backend, "poisoned", 0)
             self.stats.respawned = getattr(backend, "respawned", 0)
-
-
-def parallel_map(
-    fn: Callable[[_T], _R], items: Iterable[_T], jobs: int = 1
-) -> list[_R]:
-    """Deprecated order-preserving map, inline or across a process pool.
-
-    .. deprecated::
-        Use :meth:`repro.campaign.backend.ProcessPoolBackend.map` (or any
-        :class:`~repro.campaign.backend.ExecutionBackend`'s ``map``) —
-        this shim forwards there so there is a single pool-dispatch code
-        path, and will be removed once no caller remains.
-    """
-    warnings.warn(
-        "parallel_map() is deprecated; use "
-        "repro.campaign.backend.ProcessPoolBackend(jobs).map(fn, items)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ProcessPoolBackend(max(jobs, 1)).map(fn, items)

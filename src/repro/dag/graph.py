@@ -12,10 +12,12 @@ mutation invalidates the caches.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TaskGraph"]
 
@@ -186,6 +188,8 @@ class TaskGraph:
 
     def as_networkx(self) -> nx.DiGraph:
         """Copy as a :class:`networkx.DiGraph` with ``volume`` edge attributes."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         g.add_nodes_from(range(self._n))
         for (u, v), vol in self._volumes.items():

@@ -2,7 +2,7 @@
 
 Each ``figN_*`` module exposes a ``run(scale)`` function returning a result
 object with the figure's underlying data series and a ``render()`` method
-producing the monospace report recorded in ``EXPERIMENTS.md``.  The
+producing the figure's monospace text report.  The
 :class:`~repro.experiments.scale.Scale` object controls population sizes so
 the whole harness runs in minutes at ``quick`` scale and reproduces the
 paper's counts at ``paper`` scale (env var ``REPRO_SCALE``).

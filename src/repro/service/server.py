@@ -751,6 +751,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP skin over :class:`RobustnessService`."""
 
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two writes (headers, then body).  With Nagle on,
+    # the body waits for the client's delayed ACK of the headers, ~40 ms
+    # per keep-alive request.
+    disable_nagle_algorithm = True
     server: "_Server"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API

@@ -8,12 +8,17 @@
 * :func:`special_rv` — the deliberately multi-modal "special distribution"
   of Figure 7 (a concatenation of scaled Betas), used to stress the
   central-limit argument of the discussion section.
+
+:func:`beta_rv` evaluates the density with the Boost ufunc that
+``scipy.stats.beta.pdf`` itself calls, so it never pays for importing
+:mod:`scipy.stats` (most of a cold start).  The factories no campaign case
+reaches import :mod:`scipy.stats` on first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special._ufuncs import _beta_pdf
 
 from repro.stochastic.rv import DEFAULT_GRID_SIZE, NumericRV
 
@@ -46,7 +51,10 @@ def beta_rv(
         raise ValueError("Beta shape parameters must be positive")
     xs = np.linspace(lo, hi, grid_n)
     u = (xs - lo) / (hi - lo)
-    pdf = stats.beta.pdf(u, alpha, beta) / (hi - lo)
+    # Bit-identical to ``stats.beta.pdf(u, alpha, beta)``: every u lies in
+    # [0, 1], where that reduces to this kernel (tests hold the two equal).
+    with np.errstate(over="ignore"):
+        pdf = _beta_pdf(u, alpha, beta) / (hi - lo)
     # α ≤ 1 or β ≤ 1 put infinite density at an endpoint; clamp for the grid.
     pdf = np.nan_to_num(pdf, posinf=0.0)
     return NumericRV.from_pdf(xs, pdf)
@@ -79,6 +87,8 @@ def gamma_rv(
         raise ValueError(f"mean must be positive, got {mean}")
     if cv <= 0:
         return NumericRV.point(mean)
+    from scipy import stats
+
     shape = 1.0 / (cv * cv)
     scale = mean * cv * cv
     lo = float(stats.gamma.ppf(tail, shape, scale=scale))
@@ -98,6 +108,8 @@ def special_rv(grid_n: int = 513) -> NumericRV:
     segment weights are not given in the paper; the values below visually
     match Figure 7 (dominant early spike, two smaller bumps, mean ≈ 13).
     """
+    from scipy import stats
+
     segments = (
         # (lo, hi, alpha, beta, weight)
         (0.0, 8.0, 2.0, 4.0, 0.50),

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.stochastic.rv import DEFAULT_GRID_SIZE, NumericRV
 
@@ -108,6 +107,8 @@ class NormalRV:
         if self.var == 0.0:
             out = (np.asarray(x, dtype=float) >= self.mean).astype(float)
             return float(out) if out.ndim == 0 else out
+        from scipy import stats
+
         return stats.norm.cdf(x, loc=self.mean, scale=self.std)
 
     def entropy(self) -> float:

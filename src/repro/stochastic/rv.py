@@ -106,17 +106,6 @@ _FAST_MAX_FACTOR = 16
 #: every asymmetric shape like (16384, 65) because the product is small).
 _FFT_MIN_OPERAND = 512
 
-try:  # SciPy's pocketfft plans composite sizes; optional dependency.
-    from scipy.fft import irfft as _irfft
-    from scipy.fft import next_fast_len as _next_fast_len
-    from scipy.fft import rfft as _rfft
-except ImportError:  # pragma: no cover - exercised on SciPy-less CI
-    _rfft, _irfft = np.fft.rfft, np.fft.irfft
-
-    def _next_fast_len(n: int) -> int:
-        """Next power of two ≥ n (numpy fallback for scipy's planner)."""
-        return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
 #: Per-side probability mass dropped when trimming numerical tails.  After a
 #: long chain of sums the support widens like k while the density's effective
 #: width grows like √k; without trimming, the fixed-size grid coarsens and
@@ -690,12 +679,22 @@ def _fft_convolve(ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
     Equivalent to ``np.convolve(ya, yb)`` up to ~1e-13 ringing, which is
     clipped at zero so densities stay non-negative.  Fast mode only — the
     dispatch in :func:`_conv_kernel` keeps the exact path on the direct
-    product.
+    product.  :mod:`scipy.fft` is imported here, on first use, so a run in
+    which the FFT never fires never loads it.
     """
+    try:  # SciPy's pocketfft plans composite sizes.
+        from scipy.fft import irfft, next_fast_len, rfft
+    except ImportError:  # pragma: no cover - exercised on SciPy-less installs
+        rfft, irfft, next_fast_len = np.fft.rfft, np.fft.irfft, _next_pow2
     n_out = len(ya) + len(yb) - 1
-    nfft = _next_fast_len(n_out)
-    conv = _irfft(_rfft(ya, nfft) * _rfft(yb, nfft), nfft)[:n_out]
+    nfft = next_fast_len(n_out)
+    conv = irfft(rfft(ya, nfft) * rfft(yb, nfft), nfft)[:n_out]
     return np.maximum(conv, 0.0)
+
+
+def _next_pow2(n: int) -> int:
+    """Next power of two ≥ n (numpy fallback for scipy's planner)."""
+    return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
 def _conv_kernel(ya: np.ndarray, yb: np.ndarray, fast: bool = False) -> np.ndarray:

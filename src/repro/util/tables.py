@@ -2,7 +2,7 @@
 
 The experiment harness reports everything as monospace text (the paper's
 figures are scatter matrices and log plots; we report the underlying numbers
-as tables so they can be diffed against ``EXPERIMENTS.md``).
+as tables so two runs can be diffed).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The ExecutionBackend protocol: resolution, equivalence, deprecation."""
+"""The ExecutionBackend protocol: resolution and equivalence."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.campaign import (
     SerialBackend,
     ShardBackend,
     get_backend,
-    parallel_map,
 )
 from repro.experiments.cases import CaseSpec
 
@@ -137,12 +136,6 @@ class TestBackendMap:
 
     def test_map_empty(self):
         assert ProcessPoolBackend(4).map(str, []) == []
-
-    def test_parallel_map_is_a_deprecated_shim(self):
-        items = list(range(5))
-        with pytest.deprecated_call(match="parallel_map"):
-            out = parallel_map(str, items, jobs=2)
-        assert out == [str(i) for i in items]
 
     def test_fig9_accepts_a_backend(self):
         from repro.experiments import fig9_slack_quadrants

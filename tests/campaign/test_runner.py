@@ -1,9 +1,9 @@
-"""Campaign execution policy: resume, force, stats, parallel_map."""
+"""Campaign execution policy: resume, force, stats."""
 
 import numpy as np
 import pytest
 
-from repro.campaign import ArtifactCache, Campaign, CampaignCase, parallel_map
+from repro.campaign import ArtifactCache, Campaign, CampaignCase
 from repro.campaign.backend import _run_case_payload
 from repro.experiments.cases import CaseSpec
 from repro.io.json_io import case_result_from_json
@@ -99,13 +99,3 @@ class TestCampaignPolicy:
         campaign = Campaign(cases[1:], jobs=2, cache=cache)
         campaign.run()
         assert campaign.stats.cached + campaign.stats.computed == len(cases) - 1
-
-
-class TestParallelMap:
-    def test_preserves_order_inline_and_parallel(self):
-        items = list(range(7))
-        assert parallel_map(str, items, jobs=1) == [str(i) for i in items]
-        assert parallel_map(str, items, jobs=3) == [str(i) for i in items]
-
-    def test_empty(self):
-        assert parallel_map(str, [], jobs=4) == []

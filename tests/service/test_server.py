@@ -16,9 +16,11 @@ startup tax); the CLI drain test at the bottom spawns the real ``serve``
 process and SIGTERMs it.
 """
 
+import http.client
 import json
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -178,6 +180,27 @@ class TestHitPath:
                 assert status == 200 and body["source"] == "hit"
             assert service.cache.stats.scans == 0
             assert service.cache.stats.index_hits == 5
+
+    def test_keepalive_hits_do_not_stall(self, tmp_path, hit_case, hit_result):
+        # A reply leaves in two writes (headers, body); with Nagle's
+        # algorithm on, every hit on a reused connection waited ~40 ms for
+        # the client's delayed ACK before the body went out.
+        config = _config(tmp_path)
+        ArtifactCache(config.cache_dir).store(hit_case, hit_result)
+        latencies = []
+        with serving(config) as service:
+            conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=30)
+            try:
+                for _ in range(20):
+                    start = time.perf_counter()
+                    conn.request("GET", f"/case?{qs(HIT)}")
+                    resp = conn.getresponse()
+                    body = json.loads(resp.read())
+                    latencies.append(time.perf_counter() - start)
+                    assert resp.status == 200 and body["source"] == "hit"
+            finally:
+                conn.close()
+        assert statistics.median(latencies) < 0.020
 
 
 class TestErrorSurface:

@@ -1,9 +1,43 @@
 """Distribution factories."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.stochastic import beta_rv, gamma_rv, point_rv, special_rv, uniform_rv
+from repro.stochastic.rv import NumericRV
+
+
+def _scipy_stats_beta_rv(lo, hi, alpha, beta, grid_n):
+    """The historical ``beta_rv``: density from ``scipy.stats.beta.pdf``."""
+    from scipy import stats
+
+    xs = np.linspace(lo, hi, grid_n)
+    u = (xs - lo) / (hi - lo)
+    pdf = stats.beta.pdf(u, alpha, beta) / (hi - lo)
+    pdf = np.nan_to_num(pdf, posinf=0.0)
+    return NumericRV.from_pdf(xs, pdf)
+
+
+class TestBetaKernelOracle:
+    """``beta_rv`` calls SciPy's private Boost ufunc instead of
+    ``scipy.stats``; every duration RV, hence every cached artifact, must
+    stay byte-identical.  A SciPy release that renames or changes the
+    ufunc fails here instead of silently changing artifacts."""
+
+    @pytest.mark.parametrize("grid_n", [8, 65, 129, 513])
+    def test_bytes_equal_scipy_stats(self, grid_n):
+        probes = itertools.product(
+            (1.01, 1.1, 1.5, 2.0, 10.0),
+            ((2.0, 5.0), (0.5, 0.5), (1.0, 1.0), (3.0, 2.0)),
+            (1.0, 3.7, 250.0),
+        )
+        for ul, (a, b), lo in probes:
+            got = beta_rv(lo, lo * ul, a, b, grid_n=grid_n)
+            want = _scipy_stats_beta_rv(lo, lo * ul, a, b, grid_n)
+            assert got.xs.tobytes() == want.xs.tobytes(), (ul, a, b, lo)
+            assert got.pdf.tobytes() == want.pdf.tobytes(), (ul, a, b, lo)
 
 
 class TestBeta:
