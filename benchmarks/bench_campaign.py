@@ -4,9 +4,11 @@ Runs a small case suite serially (``jobs=1``) and with two workers
 (``jobs=2``), reports both wall times and the speedup, and asserts the
 results are bit-identical (the campaign determinism guarantee) — plus a
 cache-warm replay that must do no case work at all.  A second bench
-compares the execution backends (serial / process pool / 2-shard
-subprocess workers) on the same suite: the shard backend pays manifest +
-partial + artifact-file overhead per shard, which this bench quantifies.
+compares the execution backends (serial / process pool / 2-worker queue
+fleet) on the same suite: the queue fleet pays worker start-up plus
+manifest + claim + partial + artifact-file overhead per shard, which this
+bench quantifies (``bench_queue.py`` records it as a ``BENCH_core.json``
+row).
 
 Scale with ``REPRO_SCALE`` like every other benchmark; at quick scale this
 is a ~minute-long experiment.
@@ -21,8 +23,8 @@ from repro.campaign import (
     ArtifactCache,
     Campaign,
     ProcessPoolBackend,
+    QueueBackend,
     SerialBackend,
-    ShardBackend,
     expand_suite,
 )
 from repro.experiments.cases import CaseSpec
@@ -69,7 +71,7 @@ def test_campaign_parallel_speedup(benchmark, report, tmp_path):
 
 
 def test_campaign_backend_comparison(benchmark, report):
-    """Serial vs process-pool vs 2-shard backends on the same suite."""
+    """Serial vs process-pool vs 2-worker queue fleet on the same suite."""
     cases = expand_suite(_suite(), get_scale(None), base_seed=7)
 
     t0 = time.perf_counter()
@@ -80,19 +82,19 @@ def test_campaign_backend_comparison(benchmark, report):
     pooled = Campaign(cases, backend=ProcessPoolBackend(2)).run()
     pool_s = time.perf_counter() - t0
 
-    sharded = run_once(
+    queued = run_once(
         benchmark,
-        lambda: Campaign(cases, backend=ShardBackend(n_shards=2, jobs=2)).run(),
+        lambda: Campaign(cases, backend=QueueBackend(n_shards=2, jobs=2)).run(),
     )
-    shard_s = benchmark.stats.stats.mean
+    queue_s = benchmark.stats.stats.mean
 
     report(
         f"backends over {len(cases)} cases: serial {serial_s:.2f}s, "
         f"process×2 {pool_s:.2f}s ({serial_s / pool_s:.2f}x), "
-        f"shard 2×1 {shard_s:.2f}s ({serial_s / shard_s:.2f}x incl. "
-        "manifest/partial/artifact file overhead)"
+        f"queue fleet×2 {queue_s:.2f}s ({serial_s / queue_s:.2f}x incl. "
+        "worker start-up and manifest/claim/partial/artifact file overhead)"
     )
 
-    for a, b, c in zip(serial, pooled, sharded):
+    for a, b, c in zip(serial, pooled, queued):
         assert np.array_equal(a.panel.values, b.panel.values)
         assert np.array_equal(a.panel.values, c.panel.values)

@@ -1,15 +1,15 @@
-"""Micro-benchmark: queue-backed fleet vs the shard backend.
+"""Micro-benchmark: queue-backed fleet vs the local process pool.
 
-Times the same case suite through the :class:`ShardBackend` (static
-partition, one subprocess per shard) and the :class:`QueueBackend`
-(filesystem work queue, pull workers, reaper) and reports the overhead
-the queue protocol adds — claim files, heartbeats, per-shard partial
-landing, and coordinator polling.  The two merged result sets must stay
-bit-identical to the serial loop; the queue's price is latency only,
-never results.
+Times the same case suite through :class:`ProcessPoolBackend` (the
+``--jobs N`` default: one pool, per-case load balancing) and the
+:class:`QueueBackend` (filesystem work queue, ``campaign queue-worker``
+subprocesses, reaper) and reports the overhead the queue protocol adds —
+worker start-up, claim files, heartbeats, per-shard partial landing, and
+coordinator polling.  Both result sets must stay bit-identical to the
+serial loop; the queue's price is latency only, never results.
 
 Scale with ``REPRO_SCALE`` like every other benchmark.  Records an
-``op="queue_campaign"`` row (ratio = shard wall / queue wall) into
+``op="queue_campaign"`` row (ratio = pool wall / queue wall) into
 ``BENCH_core.json`` so queue overhead is trackable across PRs.
 """
 
@@ -20,9 +20,9 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.campaign import (
     Campaign,
+    ProcessPoolBackend,
     QueueBackend,
     QueueConfig,
-    ShardBackend,
     expand_suite,
 )
 from repro.experiments.cases import CaseSpec
@@ -42,7 +42,7 @@ def _suite(quick: bool) -> list[CaseSpec]:
 
 
 def test_queue_backend_overhead(benchmark, report, record_bench, bench_quick):
-    """Shard backend vs queue fleet on one suite, identical results."""
+    """Process pool vs queue fleet on one suite, identical results."""
     cases = expand_suite(_suite(bench_quick), get_scale(None), base_seed=7)
 
     t0 = time.perf_counter()
@@ -50,10 +50,8 @@ def test_queue_backend_overhead(benchmark, report, record_bench, bench_quick):
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sharded = Campaign(
-        cases, backend=ShardBackend(n_shards=2, jobs=2)
-    ).run()
-    shard_s = time.perf_counter() - t0
+    pooled = Campaign(cases, backend=ProcessPoolBackend(2)).run()
+    pool_s = time.perf_counter() - t0
 
     config = QueueConfig(lease_seconds=30.0, poll_seconds=0.1)
     queued = run_once(
@@ -67,18 +65,18 @@ def test_queue_backend_overhead(benchmark, report, record_bench, bench_quick):
 
     report(
         f"queue fleet over {len(cases)} cases: serial {serial_s:.2f}s, "
-        f"shard 2x2 {shard_s:.2f}s, queue 2x2 {queue_s:.2f}s "
-        f"({queue_s / shard_s:.2f}x of shard — claim/heartbeat/partial "
-        "+ poll overhead)"
+        f"process x2 {pool_s:.2f}s, queue 2x2 {queue_s:.2f}s "
+        f"({queue_s / pool_s:.2f}x of the pool — worker start-up + "
+        "claim/heartbeat/partial + poll overhead)"
     )
     record_bench(
         op="queue_campaign",
         shape=f"suite_{len(cases)}cases_2workers",
         ns_per_op=queue_s * 1e9,
-        baseline_ns_per_op=shard_s * 1e9,
-        ratio=shard_s / queue_s,
+        baseline_ns_per_op=pool_s * 1e9,
+        ratio=pool_s / queue_s,
     )
 
-    for a, b, c in zip(serial, sharded, queued):
+    for a, b, c in zip(serial, pooled, queued):
         assert np.array_equal(a.panel.values, b.panel.values)
         assert np.array_equal(a.panel.values, c.panel.values)

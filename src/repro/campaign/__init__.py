@@ -2,12 +2,13 @@
 
 The campaign layer turns a figure/ablation specification into a list of
 self-contained :class:`CampaignCase` work units, dispatches them through a
-pluggable :class:`ExecutionBackend` (inline, local process pool, the
-file-based shard/worker/merge protocol, or the elastic pull-worker queue
-fleet), and persists every finished case
-as a content-addressed JSON artifact so interrupted or repeated campaigns
-skip completed work.  Per-case RNG seeds are derived from the case fields
-alone, so every backend — and a cache-warm replay — is bit-identical.
+pluggable :class:`ExecutionBackend` (inline, local process pool, or the
+elastic pull-worker queue fleet), and persists every finished case as a
+content-addressed JSON artifact so interrupted or repeated campaigns skip
+completed work.  Shard manifests and partials (:mod:`repro.campaign.shard`)
+are the queue's units of work and the ``campaign worker``/``merge`` files.
+Per-case RNG seeds are derived from the case fields alone, so every
+backend — and a cache-warm replay — is bit-identical.
 """
 
 from repro.campaign.aggregate import (
@@ -47,7 +48,6 @@ from repro.campaign.shard import (
     MergeResult,
     PartialOverlapError,
     ShardAbort,
-    ShardBackend,
     ShardManifest,
     ShardPartial,
     merge_partials,
@@ -77,7 +77,6 @@ __all__ = [
     "QueueConfig",
     "SerialBackend",
     "ShardAbort",
-    "ShardBackend",
     "ShardManifest",
     "ShardPartial",
     "SuiteAggregate",

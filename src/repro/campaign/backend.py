@@ -6,16 +6,17 @@ aggregation time.  *Where* those cases run is therefore a policy, not a
 property of the campaign — this module makes it one.
 
 :class:`ExecutionBackend` is the protocol every execution strategy
-implements:
+implements, and :class:`~repro.campaign.runner.Campaign` reads nothing
+else off a backend:
 
 * :meth:`~ExecutionBackend.submit` registers the pending work units as
   ``(suite_index, case)`` pairs (the index is the case's position in the
-  full suite — the canonical fold order downstream aggregation relies on);
+  full suite — the canonical fold order downstream aggregation relies on)
+  together with the campaign's artifact cache and force policy;
 * :meth:`~ExecutionBackend.as_completed` yields ``(index, case, result)``
   triples as cases finish, in whatever order the backend completes them;
-* :meth:`~ExecutionBackend.map` is the generic order-preserving fan-out
-  primitive for work that is not :class:`CampaignCase`-shaped (e.g. the
-  Figure 9 quadrant samplings).
+* a few declared attributes report back what the batch did
+  (``persists_results``, ``worker_cached`` and the fleet-health counters).
 
 Because every case derives its RNG stream from its own fields, **any**
 backend produces bit-identical :class:`~repro.core.study.CaseResult`
@@ -26,16 +27,16 @@ clock and completion order (consumers needing a canonical order reorder by
 Implementations here:
 
 * :class:`SerialBackend` — inline execution, case order, zero overhead;
-* :class:`ProcessPoolBackend` — the historical ``ProcessPoolExecutor``
-  fan-out: workers receive ``CampaignCase.to_dict()`` (plain JSON) and
-  ship back the canonical result JSON, so only small payloads cross the
-  process boundary.
+* :class:`ProcessPoolBackend` — the ``ProcessPoolExecutor`` fan-out behind
+  ``--jobs N``: workers receive ``CampaignCase.to_dict()`` (plain JSON)
+  and ship back the canonical result JSON, so only small payloads cross
+  the process boundary.  Its :meth:`~ProcessPoolBackend.map` is also the
+  fan-out for work that is not case-shaped (the Figure 9 samplings).
 
-:class:`~repro.campaign.shard.ShardBackend` (file-based shard/worker/merge
-protocol, the multi-machine pattern run locally) lives in
-:mod:`repro.campaign.shard` and satisfies the same protocol.  Future
-scale-out directions — job queues, remote worker fleets — are new
-implementations of this protocol, not runner rewrites.
+The one out-of-process dispatch path,
+:class:`~repro.campaign.queue.QueueBackend` (an elastic pull-worker fleet
+over a filesystem work queue), lives in :mod:`repro.campaign.queue` and
+satisfies the same protocol.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import (
     Any,
     Callable,
+    Generator,
     Iterable,
-    Iterator,
     Protocol,
     Sequence,
     TypeVar,
     runtime_checkable,
 )
 
+from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
 from repro.io.json_io import case_result_from_json, case_result_to_json
@@ -67,8 +69,11 @@ __all__ = [
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
+#: What :meth:`ExecutionBackend.as_completed` yields, one per case.
+Completion = tuple[int, CampaignCase, CaseResult]
+
 #: Backend specifiers understood by :func:`get_backend` (and the CLI).
-BACKEND_NAMES = ("serial", "process", "shard", "queue")
+BACKEND_NAMES = ("serial", "process", "queue")
 
 
 def _run_case_payload(case_dict: dict[str, Any]) -> str:
@@ -78,44 +83,10 @@ def _run_case_payload(case_dict: dict[str, Any]) -> str:
     small payloads.  The parent re-serializes the parsed result when it
     caches it; because the payload layout and float encoding are
     canonical, those bytes equal the worker's exactly (the cross-backend
-    artifact byte-identity the test suite and CI assert).  This is the
-    single wire format shared by every remote-dispatch backend (process
-    pool, shard workers).
+    artifact byte-identity the test suite and CI assert).
     """
     case = CampaignCase.from_dict(case_dict)
     return case_result_to_json(case.run())
-
-
-def _drain_pool(pool: ProcessPoolExecutor, futures: dict) -> Iterator[tuple]:
-    """Yield ``(tag, result)`` pairs from a future → tag map as they finish.
-
-    The shared dispatch-drain-cancel core of every pool-based backend:
-
-    * a failed future's batch-mates that already succeeded are yielded
-      *before* the failure propagates, so a caching consumer persists
-      them and a ``--resume`` re-run does not redo them;
-    * on any raise — including ``GeneratorExit`` from an abandoned
-      consumer and ``KeyboardInterrupt`` — the queued futures are
-      cancelled instead of drained; everything already yielded stays
-      yielded.
-    """
-    try:
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            failure: BaseException | None = None
-            for fut in done:
-                error = fut.exception()
-                if error is not None:
-                    failure = failure or error
-                    continue
-                yield futures[fut], fut.result()
-            if failure is not None:
-                raise failure
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown()
 
 
 @runtime_checkable
@@ -124,32 +95,83 @@ class ExecutionBackend(Protocol):
 
     A backend is handed the pending work once per campaign run via
     :meth:`submit` and then drained via :meth:`as_completed`; backends are
-    reusable (each ``submit`` starts a fresh batch).  Yielded results must
-    be bit-identical to ``case.run()`` in the parent process — the
-    campaign determinism guarantee — but may arrive in any order.
+    reusable (each ``submit`` starts a fresh batch and resets the
+    counters below).  Yielded results must be bit-identical to
+    ``case.run()`` in the parent process — the campaign determinism
+    guarantee — but may arrive in any order.
     """
 
     name: str
+    #: True when the yielded results are already stored in the cache
+    #: handed to :meth:`submit` (out-of-process workers write artifacts
+    #: themselves), so the campaign skips its byte-identical re-store.
+    persists_results: bool
+    #: Results of the current batch that the backend's workers loaded
+    #: from a cache instead of computing; the campaign counts them as
+    #: cached, not computed.
+    worker_cached: int
+    #: Fleet health of the current batch: shards requeued after a stale
+    #: lease, shards poisoned past their retry budget, and replacement
+    #: workers spawned.  Always 0 for in-process backends.
+    requeued: int
+    poisoned: int
+    respawned: int
 
     @property
     def workers(self) -> int:
         """Maximum concurrent workers this backend dispatches to."""
         ...  # pragma: no cover - protocol
 
-    def submit(self, cases: Sequence[tuple[int, CampaignCase]]) -> None:
-        """Register pending ``(suite_index, case)`` pairs for execution."""
+    def submit(
+        self,
+        cases: Sequence[tuple[int, CampaignCase]],
+        cache: ArtifactCache | None = None,
+        force: bool = False,
+    ) -> None:
+        """Register pending ``(suite_index, case)`` pairs for execution.
+
+        ``cache`` and ``force`` are the campaign's artifact cache and
+        recompute policy; a backend whose workers run out of process
+        hands them on so the workers store artifacts straight into it.
+        """
         ...  # pragma: no cover - protocol
 
-    def as_completed(self) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
-        """Yield ``(suite_index, case, result)`` as each case finishes."""
+    def as_completed(self) -> Generator[Completion, None, None]:
+        """Yield ``(suite_index, case, result)`` as each case finishes.
+
+        Closing the generator early cancels the work still queued.
+        """
         ...  # pragma: no cover - protocol
 
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Generic order-preserving map for non-case-shaped work."""
-        ...  # pragma: no cover - protocol
+
+class _InProcessBackend:
+    """Shared state of the backends whose results come back to the parent.
+
+    The campaign stores what they yield, and there is no fleet to report
+    on, so every declared counter stays 0.
+    """
+
+    persists_results = False
+    worker_cached = requeued = poisoned = respawned = 0
+
+    def __init__(self) -> None:
+        self._pending: list[tuple[int, CampaignCase]] = []
+
+    def submit(
+        self,
+        cases: Sequence[tuple[int, CampaignCase]],
+        cache: ArtifactCache | None = None,
+        force: bool = False,
+    ) -> None:
+        """Register pending ``(suite_index, case)`` pairs.
+
+        ``cache`` and ``force`` are not needed: the campaign does every
+        cache load and store itself.
+        """
+        self._pending = list(cases)
 
 
-class SerialBackend:
+class SerialBackend(_InProcessBackend):
     """Inline execution in the calling process, in case order.
 
     The zero-overhead reference backend: no pickling, no subprocesses —
@@ -159,38 +181,28 @@ class SerialBackend:
     name = "serial"
     workers = 1
 
-    def __init__(self) -> None:
-        self._pending: list[tuple[int, CampaignCase]] = []
-
-    def submit(self, cases: Sequence[tuple[int, CampaignCase]]) -> None:
-        """Register pending ``(suite_index, case)`` pairs."""
-        self._pending = list(cases)
-
-    def as_completed(self) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
+    def as_completed(self) -> Generator[Completion, None, None]:
         """Run each case inline and yield it immediately."""
         pending, self._pending = self._pending, []
         for index, case in pending:
             yield index, case, case.run()
 
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Plain in-process map."""
-        return [fn(item) for item in items]
 
-
-class ProcessPoolBackend:
-    """``ProcessPoolExecutor`` fan-out (the historical ``jobs=N`` path).
+class ProcessPoolBackend(_InProcessBackend):
+    """``ProcessPoolExecutor`` fan-out (the ``jobs=N`` default).
 
     Cases cross the process boundary as ``CampaignCase.to_dict()`` JSON
     payloads and come back as canonical result JSON — the same wire format
     the artifact cache stores, so a pooled run's artifacts are
     byte-identical to a serial run's.  Single-case batches run inline (no
-    pool spin-up for one unit of work).
+    pool spin-up for one unit of work).  Load balances per case, so one
+    slow case never holds up a whole shard.
 
     On a worker failure the batch's already-finished successes are yielded
     *before* the failure propagates, so a caching consumer persists them
     and a ``--resume`` re-run does not redo them.  An abandoned iterator
     (``GeneratorExit``) or Ctrl-C cancels the queued futures instead of
-    draining them.
+    draining them; everything already yielded stays yielded.
     """
 
     name = "process"
@@ -198,19 +210,15 @@ class ProcessPoolBackend:
     def __init__(self, jobs: int = 2):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        super().__init__()
         self.jobs = int(jobs)
-        self._pending: list[tuple[int, CampaignCase]] = []
 
     @property
     def workers(self) -> int:
         """Worker process count."""
         return self.jobs
 
-    def submit(self, cases: Sequence[tuple[int, CampaignCase]]) -> None:
-        """Register pending ``(suite_index, case)`` pairs."""
-        self._pending = list(cases)
-
-    def as_completed(self) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
+    def as_completed(self) -> Generator[Completion, None, None]:
         """Yield results in completion order across the pool."""
         pending, self._pending = self._pending, []
         if not pending:
@@ -225,17 +233,30 @@ class ProcessPoolBackend:
             pool.submit(_run_case_payload, case.to_dict()): (index, case)
             for index, case in pending
         }
-        drain = _drain_pool(pool, futures)
         try:
-            for (index, case), payload in drain:
-                yield index, case, case_result_from_json(payload)
-        finally:
-            drain.close()
+            not_done = set(futures)
+            while not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                failure: BaseException | None = None
+                for fut in done:
+                    error = fut.exception()
+                    if error is not None:
+                        failure = failure or error
+                        continue
+                    index, case = futures[fut]
+                    yield index, case, case_result_from_json(fut.result())
+                if failure is not None:
+                    raise failure
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Order-preserving map, inline or across a process pool.
 
-        ``fn`` must be picklable (module top-level) when ``jobs > 1``.
+        The fan-out for work that is not case-shaped.  ``fn`` must be
+        picklable (module top-level) when ``jobs > 1``.
         """
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
@@ -254,15 +275,14 @@ def get_backend(
     """Resolve a backend specifier into an :class:`ExecutionBackend`.
 
     ``spec`` may be an already-constructed backend (returned as-is), one
-    of :data:`BACKEND_NAMES`, or ``None`` — the historical default policy:
-    serial for ``jobs <= 1``, a process pool otherwise (which is what
-    keeps every old ``jobs=`` call site working unchanged).
+    of :data:`BACKEND_NAMES`, or ``None`` — the default policy: serial
+    for ``jobs <= 1``, a process pool otherwise.
 
-    ``shards`` sizes the shard and queue backends' partitions (default:
-    ``jobs`` when > 1, else 2).  ``queue_dir`` (a path) and
-    ``queue_config`` (a :class:`repro.campaign.queue.QueueConfig`) apply
-    only to the queue backend: a persistent queue directory enables
-    shard-level resume and external workers joining the fleet.
+    ``shards`` sizes the queue backend's partition (default: ``jobs``
+    when > 1, else 2).  ``queue_dir`` (a path) and ``queue_config`` (a
+    :class:`repro.campaign.queue.QueueConfig`) apply only to the queue
+    backend: a persistent queue directory enables shard-level resume and
+    external workers joining the fleet.
     """
     if spec is None:
         return SerialBackend() if jobs <= 1 else ProcessPoolBackend(jobs)
@@ -274,13 +294,8 @@ def get_backend(
         # An explicit jobs value is respected, including jobs=1 (a pool
         # of one runs its batch inline — same results, no pickling).
         return ProcessPoolBackend(jobs)
-    if spec == "shard":
-        # Imported lazily: shard.py builds on this module.
-        from repro.campaign.shard import ShardBackend
-
-        return ShardBackend(n_shards=shards or max(jobs, 2), jobs=jobs)
     if spec == "queue":
-        # Imported lazily: queue.py builds on this module too.
+        # Imported lazily: queue.py builds on this module.
         from repro.campaign.queue import QueueBackend
 
         return QueueBackend(

@@ -1,12 +1,15 @@
 """Queue-backed elastic campaign fleet: pull workers, leases, requeue.
 
-:class:`~repro.campaign.shard.ShardBackend` hands each worker a *fixed*
-manifest, so one dead worker stalls the whole suite.  This module inverts
-the dispatch: shards become task records on a shared **work queue** and
-workers *pull* — an elastic fleet where members can join, crash, or be
-replaced at any time while the suite still completes, and still produces
-the byte-identical :class:`~repro.campaign.aggregate.SuiteAggregate` and
-artifact set of a single-process run.
+A worker handed one *fixed* shard manifest (``campaign worker``) strands
+that shard when it dies.  This module inverts the dispatch: shards become
+task records on a shared **work queue** and workers *pull* — an elastic
+fleet where members can join, crash, or be replaced at any time while
+the suite still completes, and still produces the byte-identical
+:class:`~repro.campaign.aggregate.SuiteAggregate` and artifact set of a
+single-process run.  It is the repo's one out-of-process dispatch path:
+:class:`QueueBackend` coordinates a fleet for one campaign, and the query
+service (:mod:`repro.service`) keeps one running; both supervise their
+``campaign queue-worker`` subprocesses through :class:`WorkerFleet`.
 
 The queue is a directory (the protocol needs only atomic rename and
 exclusive create, so a Redis/SQS implementation can adopt the same state
@@ -69,9 +72,11 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import (
+    Callable, Generator, Iterable, Iterator, Mapping, Sequence, TextIO,
+)
 
-from repro.campaign.backend import ProcessPoolBackend
+from repro.campaign.backend import Completion
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.shard import (
     ShardAbort,
@@ -82,7 +87,6 @@ from repro.campaign.shard import (
     suite_key,
 )
 from repro.campaign.spec import CampaignCase
-from repro.core.study import CaseResult
 from repro.io.atomic import write_atomic
 from repro.io.json_io import canonical_json
 
@@ -95,6 +99,7 @@ __all__ = [
     "QueueEvent",
     "QueueStatus",
     "WorkQueue",
+    "WorkerFleet",
     "WorkerReport",
     "queue_worker",
 ]
@@ -114,9 +119,6 @@ _CASE_STEM = re.compile(r"^case-([0-9a-f]{12,64})$")
 _BACKOFF_CAP = 60.0
 #: Max fraction the deterministic per-task jitter adds to a requeue delay.
 _BACKOFF_JITTER = 0.25
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 # ---------------------------------------------------------------------- #
@@ -1147,8 +1149,147 @@ def _run_claimed_task(
 
 
 # ---------------------------------------------------------------------- #
-# the coordinator backend
+# the subprocess fleet and the coordinator backend
 # ---------------------------------------------------------------------- #
+
+
+def _worker_env() -> dict[str, str]:
+    """Child environment with ``src`` importable (fault env inherits through)."""
+    import repro
+
+    src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_root + os.pathsep + existing if existing else src_root
+    return env
+
+
+class WorkerFleet:
+    """A supervised set of ``campaign queue-worker`` subprocesses.
+
+    The mechanism both fleet owners share — :class:`QueueBackend` (one
+    campaign's coordinator) and the query service — while each keeps its
+    own policy: how many workers to keep, when to respawn, how to shut
+    down.  Every worker runs the public CLI, exactly what a remote machine
+    would run, with the queue's lease/retry policy and ``--no-reap`` (the
+    owner runs the reaper); ``forever`` adds ``--forever`` for a service
+    fleet that waits for new tasks.  A worker's output goes to
+    ``logs/<worker id>.log`` under the queue.  Thread-safe: the service's
+    janitor thread spawns and prunes while request threads read
+    :meth:`live`.
+    """
+
+    def __init__(
+        self,
+        queue: WorkQueue,
+        cache_root: pathlib.Path,
+        prefix: str,
+        *,
+        force: bool = False,
+        forever: bool = False,
+    ):
+        self.queue = queue
+        self.cache_root = pathlib.Path(cache_root)
+        self.prefix = prefix
+        self.force = force
+        self.forever = forever
+        #: Workers started so far; the next worker id is ``prefix + spawned``.
+        self.spawned = 0
+        self._procs: dict[str, tuple[subprocess.Popen[bytes], TextIO]] = {}
+        self._lock = threading.Lock()
+
+    def command(self, worker_id: str) -> list[str]:
+        """The ``campaign queue-worker`` argv of one fleet worker."""
+        cfg = self.queue.config
+        cmd = [
+            sys.executable, "-m", "repro.experiments.cli",
+            "campaign", "queue-worker", str(self.queue.root),
+            "--cache-dir", str(self.cache_root),
+            "--worker-id", worker_id,
+            "--lease", str(cfg.lease_seconds),
+            "--poll", str(cfg.poll_seconds),
+            "--max-attempts", str(cfg.max_attempts),
+            "--backoff", str(cfg.backoff_seconds),
+            "--no-reap",
+        ]
+        if self.forever:
+            cmd.append("--forever")
+        if self.force:
+            cmd.append("--force")
+        return cmd
+
+    def spawn(self) -> str:
+        """Start one worker; returns its id."""
+        with self._lock:
+            worker_id = f"{self.prefix}{self.spawned}"
+            self.spawned += 1
+        # Append-style diagnostic stream, not a durable artifact.
+        log = open(self.queue.logs_dir / f"{worker_id}.log", "w")  # reprolint: ignore[RL001]
+        try:
+            proc = subprocess.Popen(
+                self.command(worker_id),
+                env=_worker_env(),
+                stdout=log,
+                stderr=subprocess.STDOUT,
+            )
+        except BaseException:
+            log.close()
+            raise
+        with self._lock:
+            self._procs[worker_id] = (proc, log)
+        return worker_id
+
+    def prune(self) -> int:
+        """Forget exited workers and close their logs; returns how many remain."""
+        with self._lock:
+            exited = [
+                worker_id
+                for worker_id, (proc, _) in self._procs.items()
+                if proc.poll() is not None
+            ]
+            for worker_id in exited:
+                self._procs.pop(worker_id)[1].close()
+            return len(self._procs)
+
+    def live(self) -> int:
+        """Workers still running right now."""
+        with self._lock:
+            return sum(
+                1 for proc, _ in self._procs.values() if proc.poll() is None
+            )
+
+    def stop(self, timeout: float, *, terminate_first: bool) -> None:
+        """Stop every worker, close its log, and forget it.
+
+        With ``terminate_first`` every worker gets SIGTERM at once and
+        then ``timeout`` seconds to finish or release its claim (the
+        service drain).  Without it the workers get ``timeout`` seconds to
+        exit on their own — a coordinator's workers leave once the queue
+        completes — and then SIGTERM and 5 more seconds.  A worker still
+        running after that is killed.
+        """
+        with self._lock:
+            procs = list(self._procs.values())
+            self._procs.clear()
+        if terminate_first:
+            for proc, _ in procs:
+                if proc.poll() is None:
+                    proc.terminate()
+        deadline = time.monotonic() + timeout
+        for proc, log in procs:
+            try:
+                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                if terminate_first:
+                    proc.kill()
+                else:
+                    proc.terminate()
+                    try:
+                        proc.wait(timeout=5.0)
+                    except subprocess.TimeoutExpired:  # pragma: no cover
+                        proc.kill()
+                proc.wait()
+            log.close()
 
 
 class QueueBackend:
@@ -1163,11 +1304,11 @@ class QueueBackend:
     ``jobs <= 1`` the worker loop runs inline (no subprocesses, identical
     files and results).
 
-    Workers are real subprocesses driven through the public
-    ``campaign queue-worker`` CLI — exactly what a remote machine would
-    run — so artifacts, partials, and the merged aggregate are
-    byte-identical to a serial run, which the fault-injection suite and
-    the ``queue-fleet-identity`` CI job assert under injected failures.
+    Workers are real subprocesses (a :class:`WorkerFleet`) driven through
+    the public ``campaign queue-worker`` CLI — exactly what a remote
+    machine would run — so artifacts, partials, and the merged aggregate
+    are byte-identical to a serial run, which the fault-injection suite
+    and the ``dispatch-identity`` CI job assert under injected failures.
 
     Raises :class:`PoisonedShardError` when any shard exhausts its retry
     budget (after yielding every healthy shard's results, so completed
@@ -1193,9 +1334,9 @@ class QueueBackend:
         self.config = config or QueueConfig()
         self._pending: list[tuple[int, CampaignCase]] = []
         self._cache: ArtifactCache | None = None
-        self._cache_root: pathlib.Path | None = None
         self._force = False
-        #: Stats surfaced into :class:`~repro.campaign.runner.CampaignStats`.
+        #: The declared ExecutionBackend report, reset by every submit.
+        self.persists_results = False
         self.worker_cached = 0
         self.requeued = 0
         self.poisoned = 0
@@ -1206,85 +1347,39 @@ class QueueBackend:
         """Concurrent pull workers this backend launches."""
         return self.jobs
 
-    @property
-    def persists_results(self) -> bool:
-        """True once a campaign cache is attached (workers write into it)."""
-        return self._cache_root is not None
+    def submit(
+        self,
+        cases: Sequence[tuple[int, CampaignCase]],
+        cache: ArtifactCache | None = None,
+        force: bool = False,
+    ) -> None:
+        """Register pending ``(suite_index, case)`` pairs; reset counters.
 
-    def configure(self, cache: ArtifactCache | None, force: bool) -> None:
-        """Adopt the campaign's cache directory and force policy."""
-        self._cache = cache
-        self._cache_root = (
-            pathlib.Path(cache.root) if cache is not None else None
-        )
-        self._force = bool(force)
-
-    def submit(self, cases: Sequence[tuple[int, CampaignCase]]) -> None:
-        """Register pending ``(suite_index, case)`` pairs; reset counters."""
+        Workers store artifacts straight into ``cache`` when one is given
+        (so the campaign skips its own re-store), and into a ``cache/``
+        directory under the queue otherwise.
+        """
         self._pending = list(cases)
-        self.worker_cached = 0
-        self.requeued = 0
-        self.poisoned = 0
-        self.respawned = 0
+        self._cache = cache
+        self._force = bool(force)
+        self.persists_results = cache is not None
+        self.worker_cached = self.requeued = self.poisoned = self.respawned = 0
 
-    # -- helpers ------------------------------------------------------- #
-
-    def _worker_cmd(self, queue: WorkQueue, cache_root: pathlib.Path, wid: str) -> list[str]:
-        """CLI invocation of one fleet worker (the public worker path)."""
-        cfg = queue.config
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "campaign",
-            "queue-worker",
-            str(queue.root),
-            "--cache-dir",
-            str(cache_root),
-            "--worker-id",
-            wid,
-            "--lease",
-            str(cfg.lease_seconds),
-            "--poll",
-            str(cfg.poll_seconds),
-            "--max-attempts",
-            str(cfg.max_attempts),
-            "--backoff",
-            str(cfg.backoff_seconds),
-            "--no-reap",  # the coordinator owns requeue accounting
-        ]
-        if self._force:
-            cmd.append("--force")
-        return cmd
-
-    @staticmethod
-    def _worker_env() -> dict[str, str]:
-        """Child env with ``src`` importable (fault env inherits through)."""
-        import repro
-
-        src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
-        )
-        return env
-
-    def _credit_partial(self, partial: ShardPartial) -> None:
+    def _credit(self, computed: int, cached: int) -> None:
         """Surface worker-side computes/hits into the campaign's stats."""
-        self.worker_cached += partial.cached
+        self.worker_cached += cached
         if self._cache is not None:
-            self._cache.stats.stores += partial.computed
-            self._cache.stats.hits += partial.cached
+            self._cache.stats.stores += computed
+            self._cache.stats.hits += cached
 
     # -- the coordinator ----------------------------------------------- #
 
-    def as_completed(self) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
+    def as_completed(self) -> Generator[Completion, None, None]:
         """Enqueue, run the fleet, and yield results as partials land."""
         pending, self._pending = self._pending, []
         if not pending:
             return
-        tmp: tempfile.TemporaryDirectory | None = None
+        tmp: tempfile.TemporaryDirectory[str] | None = None
         if self.queue_dir is None:
             tmp = tempfile.TemporaryDirectory(prefix="repro-queue-")
             queue_root = pathlib.Path(tmp.name)
@@ -1292,18 +1387,23 @@ class QueueBackend:
             queue_root = self.queue_dir
         try:
             queue = WorkQueue(queue_root, self.config).init()
-            cache_root = self._cache_root or (queue_root / "cache")
+            cache_root = (
+                pathlib.Path(self._cache.root)
+                if self._cache is not None
+                else queue_root / "cache"
+            )
             manifests = {
                 pathlib.Path(m.filename).stem: m
                 for m in partition_cases(pending, self.n_shards)
                 if m.cases
             }
+            # Shards an earlier run over this queue directory finished:
+            # nothing runs for them now, so their cases count as cached.
+            landed_before = {t for t in manifests if queue.has_partial(t)}
             queue.enqueue(manifests.values())
             cache = ArtifactCache(cache_root)
 
-            def results_of(
-                manifest: ShardManifest,
-            ) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
+            def results_of(manifest: ShardManifest) -> Iterator[Completion]:
                 for index, case in manifest.cases:
                     result = cache.load(case)
                     if result is None:  # pragma: no cover - worker bug guard
@@ -1315,15 +1415,15 @@ class QueueBackend:
 
             yielded: set[str] = set()
 
-            def drain_landed() -> Iterator[
-                tuple[int, CampaignCase, CaseResult]
-            ]:
+            def drain_landed() -> Iterator[Completion]:
                 for task_id in sorted(manifests):
                     if task_id in yielded or not queue.has_partial(task_id):
                         continue
-                    self._credit_partial(
-                        ShardPartial.read(queue.partial_path(task_id))
-                    )
+                    if task_id in landed_before:
+                        self._credit(0, len(manifests[task_id].cases))
+                    else:
+                        partial = ShardPartial.read(queue.partial_path(task_id))
+                        self._credit(partial.computed, partial.cached)
                     yielded.add(task_id)
                     yield from results_of(manifests[task_id])
 
@@ -1341,7 +1441,8 @@ class QueueBackend:
                 )
                 yield from drain_landed()
             else:
-                yield from self._run_fleet(queue, cache_root, drain_landed)
+                fleet = WorkerFleet(queue, cache_root, "w", force=self._force)
+                yield from self._run_fleet(fleet, drain_landed)
 
             poisoned = queue.poisoned()
             self.poisoned = len(poisoned)
@@ -1353,35 +1454,15 @@ class QueueBackend:
 
     def _run_fleet(
         self,
-        queue: WorkQueue,
-        cache_root: pathlib.Path,
-        drain_landed: Callable[[], Iterator[tuple[int, CampaignCase, CaseResult]]],
-    ) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
+        fleet: WorkerFleet,
+        drain_landed: Callable[[], Iterator[Completion]],
+    ) -> Iterator[Completion]:
         """Spawn and babysit the subprocess fleet; yield landing results."""
-        env = self._worker_env()
-        procs: dict[str, tuple[subprocess.Popen, object]] = {}
-        next_id = 0
+        queue = fleet.queue
         respawn_budget = self.jobs * self.config.max_attempts
-
-        def spawn() -> None:
-            nonlocal next_id
-            wid = f"w{next_id}"
-            next_id += 1
-            # Append-style diagnostic stream, not a durable artifact.
-            log = open(queue.logs_dir / f"{wid}.log", "w")  # reprolint: ignore[RL001]
-            procs[wid] = (
-                subprocess.Popen(
-                    self._worker_cmd(queue, cache_root, wid),
-                    env=env,
-                    stdout=log,
-                    stderr=subprocess.STDOUT,
-                ),
-                log,
-            )
-
         try:
             for _ in range(self.jobs):
-                spawn()
+                fleet.spawn()
             while True:
                 self.requeued += sum(
                     1
@@ -1395,35 +1476,19 @@ class QueueBackend:
                 # work remains (a one-shot fault won't re-fire thanks to
                 # the queue-level markers), bounded so a systemic crash
                 # converges to poisoning instead of a respawn storm.
-                for wid in [w for w, (p, _) in procs.items() if p.poll() is not None]:
-                    procs.pop(wid)[1].close()
-                if not procs or len(procs) < self.jobs:
-                    if self.respawned + self.jobs < respawn_budget + self.jobs:
-                        spawn()
-                        self.respawned += max(0, next_id - self.jobs) - self.respawned
-                    elif not procs:
+                live = fleet.prune()
+                if live < self.jobs:
+                    if self.respawned < respawn_budget:
+                        fleet.spawn()
+                        self.respawned = fleet.spawned - self.jobs
+                    elif not live:
                         raise RuntimeError(
-                            f"queue fleet died: {next_id} workers exited "
-                            f"with {queue.status().render()}"
+                            f"queue fleet died: {fleet.spawned} workers "
+                            f"exited with {queue.status().render()}"
                         )
                 time.sleep(self.config.poll_seconds)
             yield from drain_landed()
         finally:
-            deadline = time.monotonic() + max(
-                5.0, self.config.lease_seconds
+            fleet.stop(
+                max(5.0, self.config.lease_seconds), terminate_first=False
             )
-            for proc, log in procs.values():
-                try:
-                    proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    try:
-                        proc.wait(timeout=5.0)
-                    except subprocess.TimeoutExpired:  # pragma: no cover
-                        proc.kill()
-                        proc.wait()
-                log.close()
-
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Generic map: queue tasks are shard-shaped, delegate to a pool."""
-        return ProcessPoolBackend(self.jobs).map(fn, items)

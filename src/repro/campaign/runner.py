@@ -4,14 +4,14 @@ A :class:`Campaign` is a list of independent :class:`CampaignCase` work
 units plus an execution policy: an artifact cache (skip completed cases,
 persist finished ones) and an :class:`ExecutionBackend` deciding *where*
 the pending cases run — inline, across a local process pool, or through
-the file-based shard/worker/merge protocol.  Because every case derives
-its RNG stream from its *own* fields (not from execution order), results
-are bit-identical across
+the queue-backed worker fleet.  The campaign reads only what the
+protocol declares.  Because every case derives its RNG stream from its
+*own* fields (not from execution order), results are bit-identical across
 
 * ``SerialBackend`` (inline, no pool),
 * ``ProcessPoolBackend`` (``ProcessPoolExecutor`` fan-out, any completion
   order),
-* ``ShardBackend`` (subprocess shard workers + merge), and
+* ``QueueBackend`` (pull workers over a work queue + merge), and
 * a cache-warm re-run (artifacts only, nothing recomputed),
 
 which the determinism test suite asserts panel-for-panel.  Every computed
@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.campaign.backend import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from repro.campaign.backend import ExecutionBackend, get_backend
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
@@ -113,10 +109,8 @@ class Campaign:
     stats: CampaignStats = field(default_factory=CampaignStats)
 
     def _resolve_backend(self) -> ExecutionBackend:
-        """The explicit backend, or the historical ``jobs``-based policy."""
-        if self.backend is not None:
-            return self.backend
-        return SerialBackend() if self.jobs <= 1 else ProcessPoolBackend(self.jobs)
+        """The explicit backend, or :func:`get_backend`'s ``jobs`` policy."""
+        return get_backend(self.backend, jobs=self.jobs)
 
     def run(self) -> list[CaseResult]:
         """Execute all cases; returns results in case order.
@@ -145,14 +139,10 @@ class Campaign:
         self.stats = CampaignStats(
             total=len(self.cases), backend=backend.name, workers=backend.workers
         )
-        configure = getattr(backend, "configure", None)
-        if configure is not None:
-            configure(cache=self.cache, force=self.force)
-
         # The campaign's hit/miss counters are deltas of the attached
         # cache's own CacheStats over this run, so they stay truthful for
         # every policy: force=True does no lookups (0/0), and backends
-        # that load/store cache-side (shard workers) credit their counts
+        # that load/store cache-side (queue workers) credit their counts
         # through the same CacheStats object.
         hits_before = self.cache.stats.hits if self.cache is not None else 0
         misses_before = self.cache.stats.misses if self.cache is not None else 0
@@ -180,13 +170,10 @@ class Campaign:
 
         if not pending:
             return
-        backend.submit(pending)
-        # Backends that write artifacts straight into the attached cache
-        # (the shard workers do) declare it, so the byte-identical
-        # re-store is skipped instead of rewriting every file.
-        store = self.cache is not None and not getattr(
-            backend, "persists_results", False
-        )
+        backend.submit(pending, cache=self.cache, force=self.force)
+        # Backends whose workers write artifacts straight into the cache
+        # declare it, so the byte-identical re-store is skipped.
+        store = self.cache is not None and not backend.persists_results
         completed = backend.as_completed()
         reclassified = 0
         try:
@@ -195,11 +182,10 @@ class Campaign:
                     self.cache.store(case, result)
                 self.stats.computed += 1
                 # A backend may serve part of its batch from a cache of
-                # its own (shard workers against a persistent work dir);
+                # its own (queue workers over a persistent queue dir);
                 # reclassify those results from "computed" to "cached".
                 shift = min(
-                    getattr(backend, "worker_cached", 0) - reclassified,
-                    self.stats.computed,
+                    backend.worker_cached - reclassified, self.stats.computed
                 )
                 if shift > 0:
                     self.stats.computed -= shift
@@ -211,11 +197,7 @@ class Campaign:
             # An abandoned consumer (GeneratorExit) must reach the backend
             # so it can cancel queued work; everything already persisted
             # stays persisted and a --resume re-run picks up from there.
-            close = getattr(completed, "close", None)
-            if close is not None:
-                close()
-            # Fleet-health counters maintained backend-side (the queue
-            # coordinator) surface into the campaign's stats line.
-            self.stats.requeued = getattr(backend, "requeued", 0)
-            self.stats.poisoned = getattr(backend, "poisoned", 0)
-            self.stats.respawned = getattr(backend, "respawned", 0)
+            completed.close()
+            self.stats.requeued = backend.requeued
+            self.stats.poisoned = backend.poisoned
+            self.stats.respawned = backend.respawned

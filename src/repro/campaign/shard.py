@@ -35,20 +35,19 @@ bit-identical to ``Campaign.run()`` on one machine, which CI asserts.
 (:meth:`SuiteAggregator.merge` remains available for explicitly
 partitioned approximate aggregations.)
 
-:class:`ShardBackend` wraps the whole protocol behind the
-:class:`~repro.campaign.backend.ExecutionBackend` interface, running the
-shard workers as local subprocesses — the single-machine rehearsal of the
-multi-machine deployment.
+The queue protocol (:mod:`repro.campaign.queue`) is built from the same
+pieces: ``campaign queue-init`` writes these manifests as task records,
+and its pull workers run :func:`run_shard` and land these partials.
+``campaign worker`` runs one manifest by hand — the transport that needs
+no shared filesystem.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from repro.campaign.aggregate import (
     CaseContribution,
@@ -58,11 +57,9 @@ from repro.campaign.aggregate import (
     contribution_from_payload,
     contribution_to_payload,
 )
-from repro.campaign.backend import ProcessPoolBackend, _drain_pool
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.metrics import METRIC_NAMES
-from repro.core.study import CaseResult
 from repro.io.atomic import write_atomic
 from repro.io.json_io import canonical_json, payload_digest
 from repro.util.tables import format_matrix, format_table
@@ -71,7 +68,6 @@ __all__ = [
     "MergeResult",
     "PartialOverlapError",
     "ShardAbort",
-    "ShardBackend",
     "ShardManifest",
     "ShardPartial",
     "merge_partials",
@@ -106,10 +102,6 @@ class PartialOverlapError(ValueError):
 
 _MANIFEST_FORMAT = "repro-shard-manifest-v1"
 _PARTIAL_FORMAT = "repro-shard-partial-v1"
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 def suite_key(indexed_cases: Sequence[tuple[int, CampaignCase]]) -> str:
     """Content hash identifying a suite partition.
@@ -356,20 +348,6 @@ def run_shard(
     )
 
 
-def _run_shard_worker(
-    manifest_path: str, cache_dir: str, jobs: int, force: bool
-) -> str:
-    """Subprocess entry point: run one shard file, write its partial.
-
-    Module top-level (picklable) so :class:`ShardBackend` can dispatch it
-    across a process pool; the CLI ``campaign worker`` command is the same
-    code path invoked from a shell.  Returns the partial's path.
-    """
-    manifest = ShardManifest.read(manifest_path)
-    partial = run_shard(manifest, cache_dir, jobs=jobs, force=force)
-    return str(partial.write(pathlib.Path(manifest_path).parent))
-
-
 @dataclass(frozen=True)
 class MergeResult:
     """The merged suite aggregate plus shard bookkeeping."""
@@ -489,152 +467,3 @@ def merge_partials(partials: Sequence[ShardPartial]) -> MergeResult:
         computed=sum(p.computed for p in partials),
         cached=sum(p.cached for p in partials),
     )
-
-
-class ShardBackend:
-    """Run the shard/worker/merge protocol locally as a campaign backend.
-
-    Partitions the submitted cases into ``n_shards`` manifest files under
-    a work directory (a temp dir by default), executes up to ``jobs``
-    shard workers concurrently — each one the exact code path of
-    ``repro campaign worker`` — and yields every case result as its
-    shard completes.  With ``jobs > 1`` the workers run as subprocesses;
-    with ``jobs = 1`` the same worker entry point runs inline, one shard
-    at a time (identical files and results, just without process
-    isolation).  Workers persist artifacts into the campaign's cache
-    when one is attached (via :meth:`configure`), or into a work-dir
-    cache otherwise; either way the parent re-loads each result from
-    disk, so what this backend yields is exactly what a remote machine
-    would have shipped back.
-    """
-
-    name = "shard"
-
-    def __init__(
-        self,
-        n_shards: int = 2,
-        jobs: int | None = None,
-        work_dir: pathlib.Path | str | None = None,
-    ):
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = int(n_shards)
-        self.jobs = int(jobs) if jobs else self.n_shards
-        self.work_dir = pathlib.Path(work_dir) if work_dir is not None else None
-        self._pending: list[tuple[int, CampaignCase]] = []
-        self._cache: ArtifactCache | None = None
-        self._cache_root: pathlib.Path | None = None
-        self._force = False
-        #: Cases of the current batch the workers served from their cache
-        #: (instead of computing) — :class:`Campaign` reclassifies these
-        #: from "computed" to "cached" in its stats.
-        self.worker_cached = 0
-
-    @property
-    def workers(self) -> int:
-        """Concurrent shard worker processes."""
-        return self.jobs
-
-    @property
-    def persists_results(self) -> bool:
-        """Whether yielded results are already in the campaign's cache.
-
-        True once :meth:`configure` attached one: shard workers store
-        every artifact straight into it, so :class:`Campaign` skips its
-        own (byte-identical) re-store instead of rewriting each file.
-        """
-        return self._cache_root is not None
-
-    def configure(self, cache: ArtifactCache | None, force: bool) -> None:
-        """Adopt the campaign's cache directory and force policy.
-
-        Called by :class:`Campaign` before dispatch so shard workers write
-        artifacts straight into the shared cache (the multi-machine
-        layout) instead of a throwaway work-dir cache.  Worker-side
-        stores and cache hits are credited back to this cache's
-        :class:`~repro.campaign.cache.CacheStats` as each shard finishes,
-        so campaign/CLI reporting stays truthful even though the workers
-        ran in subprocesses.
-        """
-        self._cache = cache
-        self._cache_root = pathlib.Path(cache.root) if cache is not None else None
-        self._force = bool(force)
-
-    def submit(self, cases: Sequence[tuple[int, CampaignCase]]) -> None:
-        """Register pending ``(suite_index, case)`` pairs."""
-        self._pending = list(cases)
-        self.worker_cached = 0
-
-    def as_completed(self) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
-        """Yield each shard's results as its worker finishes."""
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        tmp: tempfile.TemporaryDirectory | None = None
-        if self.work_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-shards-")
-            work = pathlib.Path(tmp.name)
-        else:
-            work = self.work_dir
-            work.mkdir(parents=True, exist_ok=True)
-        try:
-            cache_root = self._cache_root or (work / "cache")
-            manifests = [
-                m for m in partition_cases(pending, self.n_shards) if m.cases
-            ]
-            by_path = {str(m.write(work)): m for m in manifests}
-            cache = ArtifactCache(cache_root)
-
-            def credit_worker_stats(partial_path: str) -> None:
-                # Surface what the worker did: its stores and cache hits
-                # would otherwise be invisible to campaign/CLI reporting
-                # (e.g. a persistent work_dir serving a repeat run).
-                partial = ShardPartial.read(partial_path)
-                self.worker_cached += partial.cached
-                if self._cache is not None:
-                    self._cache.stats.stores += partial.computed
-                    self._cache.stats.hits += partial.cached
-
-            def results_of(
-                manifest: ShardManifest,
-            ) -> Iterator[tuple[int, CampaignCase, CaseResult]]:
-                for index, case in manifest.cases:
-                    result = cache.load(case)
-                    if result is None:  # pragma: no cover - worker bug guard
-                        raise RuntimeError(
-                            f"shard {manifest.shard_index} worker finished but "
-                            f"left no artifact for case {case.name}"
-                        )
-                    yield index, case, result
-
-            if self.jobs <= 1 or len(manifests) <= 1:
-                for path, manifest in by_path.items():
-                    credit_worker_stats(
-                        _run_shard_worker(path, str(cache_root), 1, self._force)
-                    )
-                    yield from results_of(manifest)
-                return
-
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(manifests))
-            )
-            futures = {
-                pool.submit(
-                    _run_shard_worker, path, str(cache_root), 1, self._force
-                ): manifest
-                for path, manifest in by_path.items()
-            }
-            drain = _drain_pool(pool, futures)
-            try:
-                for manifest, partial_path in drain:
-                    credit_worker_stats(partial_path)
-                    yield from results_of(manifest)
-            finally:
-                drain.close()
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-
-    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Generic map: shards are case-shaped, so delegate to a pool."""
-        return ProcessPoolBackend(self.jobs).map(fn, items)

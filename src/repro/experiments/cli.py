@@ -59,20 +59,21 @@ completed cases), and never computes anything.
 
 Execution backends
 ------------------
-``--backend {serial,process,shard,queue}`` selects where campaign cases
-run (default: serial for ``--jobs 1``, a local process pool otherwise).
-The ``shard`` backend rehearses the multi-machine protocol locally:
-``--shards N`` shard files, each executed by a subprocess worker.  The
-``queue`` backend runs the elastic pull-worker fleet (see below).
+``--backend {serial,process,queue}`` selects where campaign cases run
+(default: serial for ``--jobs 1``, a local process pool otherwise).  The
+``queue`` backend runs the elastic pull-worker fleet over ``--shards N``
+shard tasks (see below).
 
-The protocol itself is driven by the ``campaign`` command group — the
-multi-machine path, where each step can run on a different host against a
-shared (or per-host, later-merged) cache directory::
+Sharding a sweep across machines is driven by the ``campaign`` command
+group, where each step can run on a different host against a shared (or
+per-host, later-merged) cache directory::
 
-    repro-experiments campaign shard --scale paper --shards 4 --out-dir shards/
-    repro-experiments campaign worker shards/shard-000-of-004.json --cache-dir cache/
-    ... (one worker invocation per shard, anywhere)
-    repro-experiments campaign merge shards/partial-*.json
+    repro-experiments campaign queue-init work/queue --scale paper --shards 4
+    repro-experiments campaign worker work/queue/tasks/shard-000-of-004.json \\
+        --cache-dir cache/ --partial work/queue/partials/partial-000-of-004.json
+    ... (one worker invocation per shard, anywhere — no shared filesystem
+    needed: copy the shard file in and the partial back)
+    repro-experiments campaign merge work/queue/partials/partial-*.json
 
 ``campaign verify-cache --cache-dir DIR`` audits a cache directory for
 corrupt, orphaned or half-written artifacts without recomputing anything.
@@ -160,6 +161,7 @@ from repro.experiments import fig1_precision, fig2_visual, fig6_aggregate, fig78
 from repro.experiments import fig345_panels, fig9_slack_quadrants
 from repro.experiments.cases import default_suite
 from repro.experiments.scale import get_scale
+from repro.io.atomic import write_atomic
 from repro.io.json_io import canonical_json
 
 __all__ = ["main", "DEFAULT_CACHE_DIR"]
@@ -215,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=[*runners.keys(), "aggregate", "all"],
         help="figure to reproduce, 'aggregate' (summarize a cache), or "
         "'all'; see also the 'campaign' command group "
-        "(shard/worker/merge/verify-cache) and 'serve' (the HTTP query "
-        "service)",
+        "(queue-init/worker/merge/verify-cache/...) and 'serve' (the HTTP "
+        "query service)",
     )
     parser.add_argument(
         "--scale",
@@ -243,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="shard count for --backend shard/queue (default: --jobs, min 2)",
+        help="shard count for --backend queue (default: --jobs, min 2)",
     )
     parser.add_argument(
         "--queue-dir",
@@ -325,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be ≥ 1")
     if args.shards is not None and args.shards < 1:
         parser.error("--shards must be ≥ 1")
-    if args.shards is not None and args.backend not in ("shard", "queue"):
-        parser.error("--shards only applies to --backend shard/queue")
+    if args.shards is not None and args.backend != "queue":
+        parser.error("--shards only applies to --backend queue")
     queue_knobs = (args.queue_dir, args.queue_lease, args.queue_max_attempts)
     if any(k is not None for k in queue_knobs) and args.backend != "queue":
         parser.error("--queue-* options only apply to --backend queue")
@@ -429,36 +431,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# the `campaign` command group: shard / worker / merge / verify-cache
-# plus the queue fleet: queue-init / queue-worker / queue-status
+# the `campaign` command group: the queue fleet (queue-init / queue-worker
+# / queue-status), one-shard workers, merge, verify-cache and sweep
 # ---------------------------------------------------------------------- #
 
 
 def _campaign_main(argv: list[str]) -> int:
-    """The ``campaign`` command group: shard/worker/merge + queue fleet."""
+    """The ``campaign`` command group: queue fleet, worker/merge, sweeps."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments campaign",
         description="Shard a campaign across workers/machines and merge "
         "the partial aggregates (bit-identical to a single-process run).",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_shard = sub.add_parser(
-        "shard", help="partition the fig6 suite into N shard files"
-    )
-    p_shard.add_argument(
-        "--scale", default=None, choices=["quick", "default", "paper"]
-    )
-    p_shard.add_argument("--seed", type=int, default=20070913)
-    p_shard.add_argument("--shards", type=int, default=2, metavar="N")
-    p_shard.add_argument(
-        "--out-dir", type=pathlib.Path, required=True, metavar="DIR"
-    )
-    p_shard.add_argument(
-        "--fast-conv",
-        action="store_true",
-        help="shard the fast-precision-policy variant of the suite",
-    )
 
     p_worker = sub.add_parser(
         "worker", help="execute one shard file against a cache directory"
@@ -648,25 +633,6 @@ def _campaign_main(argv: list[str]) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.cmd == "shard":
-        if args.shards < 1:
-            parser.error("--shards must be ≥ 1")
-        scale = get_scale(args.scale)
-        cases = expand_suite(
-            default_suite(), scale, base_seed=args.seed,
-            fast_conv=args.fast_conv,
-        )
-        manifests = partition_cases(list(enumerate(cases)), args.shards)
-        for manifest in manifests:
-            path = manifest.write(args.out_dir)
-            print(f"[wrote {path}: {len(manifest.cases)} cases]")
-        print(
-            f"[suite {manifests[0].suite_key[:12]}…: {len(cases)} cases "
-            f"(scale={scale.name}, seed={args.seed}) across "
-            f"{args.shards} shards]"
-        )
-        return 0
-
     if args.cmd == "worker":
         try:
             manifest = ShardManifest.read(args.manifest)
@@ -676,9 +642,9 @@ def _campaign_main(argv: list[str]) -> int:
             manifest, args.cache_dir, jobs=args.jobs, force=args.force
         )
         if args.partial is not None:
-            args.partial.parent.mkdir(parents=True, exist_ok=True)
-            args.partial.write_text(canonical_json(partial.to_payload()))
-            path = args.partial
+            path = write_atomic(
+                args.partial, canonical_json(partial.to_payload())
+            )
         else:
             path = partial.write(args.manifest.parent)
         print(

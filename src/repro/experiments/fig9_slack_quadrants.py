@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.analysis.montecarlo import sample_makespans
 from repro.analysis.streaming import P2Quantile
-from repro.campaign import ExecutionBackend, get_backend
+from repro.campaign import ExecutionBackend, ProcessPoolBackend
 from repro.core.slack import slack_analysis
 from repro.dag.fork_join import join_dag
 from repro.experiments.scale import Scale, get_scale
@@ -184,7 +184,8 @@ def run(
     the paper's conceptual figure.  Each quadrant schedule samples from its
     own :func:`~repro.util.rng.spawn_generators` child stream, so the
     result is identical for any ``jobs`` or execution backend (the four
-    Monte-Carlo samplings fan out through the backend's generic ``map``;
+    Monte-Carlo samplings fan out through a process pool of ``jobs``
+    workers, or of the ``backend``'s worker count when one is given;
     fig9 is not case-shaped, so the artifact-cache machinery does not
     apply).
     """
@@ -196,7 +197,8 @@ def run(
         (label, schedule, model, gen, scale.mc_realizations)
         for (label, schedule), gen in zip(schedules.items(), gens)
     ]
-    stats = get_backend(backend, jobs=jobs).map(_quadrant_stats, tasks)
+    workers = backend.workers if backend is not None else jobs
+    stats = ProcessPoolBackend(workers).map(_quadrant_stats, tasks)
     labels, slacks, stds, means, medians = zip(*stats)
     return Fig9Result(
         labels=tuple(labels),

@@ -41,8 +41,6 @@ from __future__ import annotations
 import os
 import pathlib
 import signal
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,8 +52,8 @@ from repro.campaign.aggregate import SuiteAggregator, suite_aggregate_to_payload
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.queue import (
     FaultInjector,
-    QueueBackend,
     QueueConfig,
+    WorkerFleet,
     WorkQueue,
 )
 from repro.campaign.spec import CampaignCase
@@ -189,7 +187,9 @@ class RobustnessService:
     ``(status, headers, payload)`` for a parsed query, and the HTTP layer
     only serializes.  All shared state is either monitor-protected
     (:class:`~repro.service.admission.AdmissionGate`), lock-protected
-    (:class:`ServiceStats` under ``_stats_lock``) or immutable.
+    (:class:`ServiceStats` under ``_stats_lock``; the
+    :class:`~repro.campaign.queue.WorkerFleet` under its own lock) or
+    immutable.
     """
 
     def __init__(self, config: ServiceConfig):
@@ -202,10 +202,10 @@ class RobustnessService:
         self.stats = ServiceStats()
         self._stats_lock = threading.Lock()
         self.stop_event = threading.Event()
-        self._fleet: dict[str, tuple[subprocess.Popen, Any]] = {}
-        self._fleet_lock = threading.Lock()
+        self.fleet = WorkerFleet(
+            self.queue, self.cache.root, "svc", force=config.force, forever=True
+        )
         self._janitor: threading.Thread | None = None
-        self._next_worker = 0
         #: Bound port, filled in by :func:`serve` once the socket exists.
         self.port: int | None = None
         self.injector = FaultInjector.from_env(
@@ -539,7 +539,7 @@ class RobustnessService:
             {
                 "status": "draining" if draining else "ok",
                 "inflight": self.gate.snapshot()["inflight"],
-                "fleet": self.fleet_size(),
+                "fleet": self.fleet.live(),
             },
         )
 
@@ -568,106 +568,36 @@ class RobustnessService:
                     "index_rebuilds": cache_stats.index_rebuilds,
                 },
                 "queue": self.queue.status().__dict__,
-                "fleet": self.fleet_size(),
+                "fleet": self.fleet.live(),
             },
         )
 
     # -- the worker fleet ------------------------------------------------ #
-
-    def fleet_size(self) -> int:
-        """Live fleet subprocess count."""
-        with self._fleet_lock:
-            return sum(
-                1 for proc, _ in self._fleet.values() if proc.poll() is None
-            )
-
-    def _spawn_worker(self) -> None:
-        """Launch one ``--forever`` fleet worker through the public CLI."""
-        cfg = self.config.queue
-        wid = f"svc{self._next_worker}"
-        self._next_worker += 1
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.experiments.cli",
-            "campaign",
-            "queue-worker",
-            str(self.queue.root),
-            "--cache-dir",
-            str(self.cache.root),
-            "--worker-id",
-            wid,
-            "--lease",
-            str(cfg.lease_seconds),
-            "--poll",
-            str(cfg.poll_seconds),
-            "--max-attempts",
-            str(cfg.max_attempts),
-            "--backoff",
-            str(cfg.backoff_seconds),
-            "--no-reap",
-            "--forever",
-        ]
-        if self.config.force:
-            cmd.append("--force")
-        # Diagnostic stream for the worker subprocess, not an artifact.
-        log = open(self.queue.logs_dir / f"{wid}.log", "w")  # reprolint: ignore[RL001]
-        proc = subprocess.Popen(
-            cmd,
-            env=QueueBackend._worker_env(),
-            stdout=log,
-            stderr=subprocess.STDOUT,
-        )
-        with self._fleet_lock:
-            self._fleet[wid] = (proc, log)
 
     def start_fleet(self) -> None:
         """Spawn the configured workers and the janitor thread."""
         if self.config.workers <= 0:
             return
         for _ in range(self.config.workers):
-            self._spawn_worker()
+            self.fleet.spawn()
         self._janitor = threading.Thread(
             target=self._janitor_loop, name="fleet-janitor", daemon=True
         )
         self._janitor.start()
 
     def _janitor_loop(self) -> None:
-        """Reap stale leases and respawn dead workers until shutdown."""
+        """Reap stale leases and refill the fleet to size until shutdown."""
         while not self.stop_event.wait(self.config.queue.poll_seconds):
             self.queue.requeue_stale()
-            with self._fleet_lock:
-                dead = [
-                    wid
-                    for wid, (proc, _) in self._fleet.items()
-                    if proc.poll() is not None
-                ]
-                for wid in dead:
-                    self._fleet.pop(wid)[1].close()
-            for _ in range(
-                max(0, self.config.workers - self.fleet_size())
-            ):
-                self._spawn_worker()
+            for _ in range(max(0, self.config.workers - self.fleet.prune())):
+                self.fleet.spawn()
 
     def stop_fleet(self, timeout: float = 10.0) -> None:
         """SIGTERM the fleet (graceful finish-or-release) and wait."""
         self.stop_event.set()
         if self._janitor is not None:
             self._janitor.join(timeout=5.0)
-        with self._fleet_lock:
-            fleet = list(self._fleet.values())
-            self._fleet.clear()
-        for proc, _ in fleet:
-            if proc.poll() is None:
-                proc.terminate()
-        deadline = time.monotonic() + timeout
-        for proc, log in fleet:
-            try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            log.close()
+        self.fleet.stop(timeout, terminate_first=True)
 
 
 class SweepStream:

@@ -76,6 +76,7 @@ from repro.stochastic.rv import (
     _conv_kernel,
     _fast_conv_points,
     _fast_max_points,
+    _max_cell_guard,
     _rescue_lost_operand,
     _trim_window,
 )
@@ -501,15 +502,18 @@ class BatchedGridEngine:
         hi: np.ndarray,
         grid_ns: np.ndarray,
         atoms: np.ndarray | None = None,
+        maxima: bool = False,
     ) -> None:
         """Shared trim→linspace→resample→normalize tail of sums and maxima.
 
         Replicates ``NumericRV.from_pdf(xs[lo:hi+1], pdf[lo:hi+1], grid_n)``
         — including its no-resample shortcut when the window already has
         ``grid_n`` points — or the atom branch of ``max_of`` when ``atoms``
-        is given.  ``xs2``/``pdf2`` are the (possibly padded) op rows; the
-        interpolation sources are the rows themselves, which is exact
-        because in-window queries never reach the padding.
+        is given; with ``maxima`` (max jobs) every row then passes
+        ``max_of``'s ``_max_cell_guard``.  ``xs2``/``pdf2`` are the
+        (possibly padded) op rows; the interpolation sources are the rows
+        themselves, which is exact because in-window queries never reach
+        the padding.
         """
         P = len(jobs)
         rows = np.arange(P)
@@ -569,6 +573,8 @@ class BatchedGridEngine:
                             f"cannot normalize PDF with total mass {total!r}"
                         )
                     rv = NumericRV(xs_row, pdf_row / total)
+                if maxima:
+                    rv = _max_cell_guard(jobs[p][4], rv)
                 i, key = jobs[p][0], jobs[p][1]
                 self._store(key, jobs[p], rv)
                 results[i] = rv
@@ -674,6 +680,7 @@ class BatchedGridEngine:
                     f"cannot normalize PDF with total mass {total!r}"
                 )
             rv = NumericRV(xs_t, pdf_t / total)
+        rv = _max_cell_guard(continuous, rv)
         self._store(job[1], job, rv)
         results[job[0]] = rv
 
@@ -754,6 +761,7 @@ class BatchedGridEngine:
                 hi_w,
                 grid_ns[g],
                 atoms=None if atoms is None else atoms[g],
+                maxima=True,
             )
 
     # ------------------------------------------------------------------ #

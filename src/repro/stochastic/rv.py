@@ -66,10 +66,11 @@ operations that smear the atom (sums, further maxima) — those fall back to
 the historical in-cell approximation.  See docs/architecture.md.
 
 The module-level array helpers (:func:`_convolve`, :func:`_trim_tails`,
-:func:`_conv_grid_plan`, :func:`_trim_window`, :func:`_refit_pdf`) are the
-single source of truth for the grid algebra; the per-op methods here and
-the level-batched engine in :mod:`repro.stochastic.batch` both call them,
-which is what makes the batched walk bit-identical to the per-op walk.
+:func:`_conv_grid_plan`, :func:`_trim_window`, :func:`_refit_pdf`,
+:func:`_max_cell_guard`) are the single source of truth for the grid
+algebra; the per-op methods here and the level-batched engine in
+:mod:`repro.stochastic.batch` both call them, which is what makes the
+batched walk bit-identical to the per-op walk.
 """
 
 from __future__ import annotations
@@ -112,6 +113,15 @@ _FFT_MIN_OPERAND = 512
 #: every resample diffuses the density (inflating the variance).  Trimming
 #: keeps the grid step proportional to the actual spread.
 _TAIL_EPS = 1e-9
+
+#: Largest probability mass a ``max_of`` output may place in the wrong
+#: output cell before :func:`_max_cell_guard` rebuilds it from the exact
+#: cell masses of the CDF product.  Smooth products stay well below it —
+#: at most 4.5e-3 over every join of the fig-6 quick suite, exact and fast
+#: policy, so those outputs keep their bytes — while an operand narrower
+#: than one output cell inside a wider operand's support can misplace
+#: five percent and more.
+_MAX_CELL_ERR = 1e-2
 
 
 class NumericRV:
@@ -511,6 +521,10 @@ class NumericRV:
         grid cell (an approximation documented in DESIGN.md; it only occurs
         when a deterministic ready time cuts a finish distribution).
 
+        A result whose resample onto the output grid misplaces probability
+        mass (an operand narrower than one output cell inside a wider one)
+        is rebuilt from exact cell masses by :func:`_max_cell_guard`.
+
         ``fast`` bounds the shared fine grid at the
         :func:`_fast_max_points` budget instead of
         :data:`_MAX_FINE_POINTS` (the fast precision policy; the existing
@@ -564,9 +578,56 @@ class NumericRV:
             if total > 0.0:
                 out_pdf *= (1.0 - atom_mass) / total
             out_pdf[0] += 2.0 * atom_mass / dx
-            return NumericRV(out_xs, out_pdf, atom=atom_mass)
+            return _max_cell_guard(
+                continuous, NumericRV(out_xs, out_pdf, atom=atom_mass)
+            )
         xs, pdf = _trim_tails(xs, pdf)
-        return NumericRV.from_pdf(xs, pdf, grid_n=grid_n)
+        return _max_cell_guard(
+            continuous, NumericRV.from_pdf(xs, pdf, grid_n=grid_n)
+        )
+
+
+def _max_cell_guard(
+    continuous: Sequence[NumericRV], out: NumericRV
+) -> NumericRV:
+    """Rebuild a ``max_of`` result whose resample misplaced probability mass.
+
+    ``max_of`` samples the fine-grid density of the CDF product at the
+    output grid points.  That is accurate while the product is smooth on
+    the output step, but an operand narrower than one output cell that
+    sits inside a wider operand's support puts a spike into the first
+    cells, and the output grid sees it at one arbitrary point: its cell's
+    probability can come out doubled or lost, and the mean can move by
+    several cells.
+
+    Each output point stands for its trapezoid cell (half cells at the
+    two ends).  The exact probability of a cell is a difference of the
+    CDF product at the cell edges; P(max ≤ xs[0]) — a floor atom or the
+    trimmed left tail — belongs to the first point and the trimmed right
+    tail to the last.  When some cell's sampled mass is off by more than
+    :data:`_MAX_CELL_ERR`, the density is rebuilt as cell mass over cell
+    width (its mean is then within half a cell of the exact one);
+    otherwise ``out`` is returned unchanged, bytes included.  The batched
+    engine applies this to its own ``max_of`` outputs, so the two paths
+    stay bit-identical.
+    """
+    xs, dx = out.xs, out.dx
+    edges = np.empty(len(xs) + 1)
+    edges[0] = xs[0]
+    edges[1:-1] = xs[:-1] + 0.5 * dx
+    edges[-1] = xs[-1]
+    f = np.ones(len(edges))
+    for rv in continuous:
+        f *= np.asarray(rv.cdf(edges))
+    mass = np.diff(f)
+    mass[0] += f[0]
+    mass[-1] += 1.0 - f[-1]
+    width = np.full(len(xs), dx)
+    width[0] = width[-1] = 0.5 * dx
+    if np.abs(width * out.pdf - mass).max() <= _MAX_CELL_ERR:
+        return out
+    pdf = np.clip(mass, 0.0, None) / width
+    return NumericRV(xs, normalize_pdf(pdf, dx), atom=out.atom)
 
 
 def _trim_window(

@@ -32,8 +32,9 @@ from repro.platform import (
 )
 from repro.schedule import ALL_HEURISTICS, heft
 from repro.schedule.random_schedule import random_schedule
-from repro.stochastic import StochasticModel
+from repro.stochastic import NumericRV, StochasticModel, beta_rv, point_rv
 from repro.stochastic.batch import (
+    _MIN_BATCH,
     BatchedGridEngine,
     _linspace,
     _linspace_rows,
@@ -181,6 +182,40 @@ class TestDodinEquivalence:
             assert len(rvs_new) == len(rvs_ref)
             for x, y in zip(rvs_new, rvs_ref):
                 assert_rv_equal(x, y, f"{name} edge {a}->{b}")
+
+
+class TestMaxCellGuardEquivalence:
+    """Maxima that ``_max_cell_guard`` rebuilds, scalar and batched paths."""
+
+    @staticmethod
+    def groups(n, floor):
+        # A narrow operand (0.055 wide) inside a wide one whose output step is
+        # 0.125; with a floor it also cuts the wide operand (an atom).
+        out = []
+        for k in range(n):
+            wide = beta_rv(1.0 + k, 10.0 + k, 2.0, 3.0, grid_n=65)
+            if floor:
+                narrow = beta_rv(1.98 + k, 2.0328125 + k, 1.5, 8.0, grid_n=65)
+                out.append([wide, point_rv(2.0 + k), narrow])
+            else:
+                narrow = beta_rv(2.0 + k, 2.0546875 + k, 1.5, 8.0, grid_n=65)
+                out.append([wide, narrow])
+        return out
+
+    # One group runs the engine's scalar path; _MIN_BATCH groups with equal
+    # fine-grid lengths run the batched fine-group path.
+    @pytest.mark.parametrize("n", [1, _MIN_BATCH], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("floor", [False, True], ids=["plain", "atom"])
+    def test_guarded_maxima_match_max_of(self, n, floor):
+        groups = self.groups(n, floor)
+        engine = BatchedGridEngine(StochasticModel(ul=1.1, grid_n=65))
+        for k, (got, rvs) in enumerate(zip(engine.max_groups(groups), groups)):
+            want = NumericRV.max_of(rvs)
+            assert_rv_equal(got, want, f"group {k}")
+            # Rebuilt: the first half cell holds the exact P(max ≤ lo + dx/2).
+            edge = got.lo + got.dx / 2
+            p0 = np.prod([rv.cdf(edge) for rv in rvs if not rv.is_point])
+            assert got.pdf[0] * got.dx / 2 == pytest.approx(p0, abs=1e-9)
 
 
 class TestNumpyReplicas:

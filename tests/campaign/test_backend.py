@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.campaign import (
+    BACKEND_NAMES,
     Campaign,
     CampaignCase,
     ExecutionBackend,
     ProcessPoolBackend,
+    QueueBackend,
     SerialBackend,
-    ShardBackend,
     get_backend,
 )
 from repro.experiments.cases import CaseSpec
@@ -38,9 +39,9 @@ class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend("process", jobs=4), ProcessPoolBackend)
-        shard = get_backend("shard", jobs=3, shards=5)
-        assert isinstance(shard, ShardBackend)
-        assert shard.n_shards == 5 and shard.workers == 3
+        queue = get_backend("queue", jobs=3, shards=5)
+        assert isinstance(queue, QueueBackend)
+        assert queue.n_shards == 5 and queue.workers == 3
 
     def test_explicit_jobs_respected_even_for_process(self):
         # --backend process --jobs 1 means one worker (inline batch),
@@ -55,11 +56,29 @@ class TestGetBackend:
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("carrier-pigeon")
 
+    def test_shard_backend_is_gone(self):
+        # The queue backend is the one out-of-process dispatch path.
+        assert BACKEND_NAMES == ("serial", "process", "queue")
+        with pytest.raises(ValueError, match="unknown backend"):
+            get_backend("shard")
+
     def test_all_backends_satisfy_the_protocol(self):
-        for backend in (SerialBackend(), ProcessPoolBackend(2), ShardBackend(2)):
+        for backend in (
+            SerialBackend(),
+            ProcessPoolBackend(2),
+            QueueBackend(jobs=1),
+        ):
             assert isinstance(backend, ExecutionBackend)
             assert backend.workers >= 1
             assert backend.name
+            # The declared report starts empty.
+            assert backend.persists_results is False
+            assert (
+                backend.worker_cached,
+                backend.requeued,
+                backend.poisoned,
+                backend.respawned,
+            ) == (0, 0, 0, 0)
 
 
 class TestBackendEquivalence:
@@ -73,9 +92,9 @@ class TestBackendEquivalence:
         "backend_factory",
         [
             lambda: ProcessPoolBackend(2),
-            lambda: ShardBackend(n_shards=2, jobs=2),
+            lambda: QueueBackend(jobs=1),
         ],
-        ids=["process", "shard"],
+        ids=["process", "queue"],
     )
     def test_bit_identical_to_serial(self, reference, backend_factory):
         results = Campaign(_cases(), backend=backend_factory()).run()
@@ -130,9 +149,8 @@ class TestBackendMap:
     def test_serial_and_pool_map_preserve_order(self):
         items = list(range(7))
         expect = [str(i) for i in items]
-        assert SerialBackend().map(str, items) == expect
+        assert ProcessPoolBackend(1).map(str, items) == expect
         assert ProcessPoolBackend(3).map(str, items) == expect
-        assert ShardBackend(2, jobs=2).map(str, items) == expect
 
     def test_map_empty(self):
         assert ProcessPoolBackend(4).map(str, []) == []

@@ -432,8 +432,11 @@ class TestQueueBackend:
                 lease_seconds=2.0, poll_seconds=0.05, max_attempts=1
             ),
         )
-        backend.configure(ArtifactCache(tmp_path / "cache"), False)
-        backend.submit(list(enumerate(cases)))
+        backend.submit(
+            list(enumerate(cases)),
+            cache=ArtifactCache(tmp_path / "cache"),
+            force=False,
+        )
         # Poison every shard up front: the fleet has nothing left to try.
         queue = WorkQueue(queue_dir, backend.config)
         manifests = [m for m in partition_cases(indexed, 2) if m.cases]
@@ -448,6 +451,56 @@ class TestQueueBackend:
     def test_backend_validates_n_shards(self):
         with pytest.raises(ValueError, match="n_shards"):
             QueueBackend(n_shards=0)
+
+
+class TestQueueBackendCachePersistence:
+    def test_workers_persist_directly_and_parent_does_not_restore(
+        self, tmp_path, monkeypatch
+    ):
+        cases = [c for _, c in _indexed_cases()[:2]]
+        cache = ArtifactCache(tmp_path / "cache")
+        parent_stores = []
+        monkeypatch.setattr(
+            cache, "store", lambda case, result: parent_stores.append(case)
+        )
+        campaign = Campaign(
+            cases, cache=cache, backend=QueueBackend(2, jobs=1, config=FAST)
+        )
+        results = campaign.run()
+        assert len(results) == len(cases)
+        # Artifacts exist (the workers wrote them into the shared cache)
+        # without the parent re-storing them...
+        assert parent_stores == []
+        assert sorted(p.name for p in cache.root.glob("*.json")) == sorted(
+            c.artifact_name for c in cases
+        )
+        # ...and the worker-side stores are credited to the cache stats,
+        # so campaign/CLI reporting stays truthful.
+        assert cache.stats.stores == len(cases)
+        assert campaign.stats.computed == len(cases)
+        # ... and a warm re-run loads them.
+        warm = Campaign(cases, cache=cache)
+        warm.run()
+        assert warm.stats.cached == len(cases)
+        assert warm.stats.cache_hits == len(cases)
+
+    def test_persistent_queue_dir_repeat_run_reports_cached(self, tmp_path):
+        # No campaign cache, but a persistent queue dir: every shard's
+        # partial landed in the first run, so the second run does no work
+        # and must NOT report any case as computed.
+        cases = [c for _, c in _indexed_cases()[:2]]
+        queue_dir = tmp_path / "q"
+        cold = Campaign(
+            cases, backend=QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
+        )
+        cold.run()
+        assert cold.stats.computed == len(cases) and cold.stats.cached == 0
+        warm = Campaign(
+            cases, backend=QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
+        )
+        warm.run()
+        assert warm.stats.computed == 0
+        assert warm.stats.cached == len(cases)
 
 
 def _payload(aggregate):

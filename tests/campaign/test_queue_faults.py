@@ -214,7 +214,7 @@ class TestCoordinatorUnderFaults:
     ):
         # The full coordinator path (Campaign → QueueBackend → subprocess
         # fleet) with a worker kill injected through the environment —
-        # the same leg the queue-fleet-identity CI job runs.
+        # the same leg the dispatch-identity CI job runs.
         monkeypatch.setenv("REPRO_QUEUE_FAULT", "kill-worker:1@w0")
         indexed = _indexed_cases()
         cache = ArtifactCache(tmp_path / "cache")
@@ -250,8 +250,9 @@ class TestCoordinatorUnderFaults:
         backend = QueueBackend(
             n_shards=2, jobs=1, queue_dir=queue_dir, config=config
         )
-        backend.configure(ArtifactCache(tmp_path / "cache"), False)
-        backend.submit(indexed)
+        backend.submit(
+            indexed, cache=ArtifactCache(tmp_path / "cache"), force=False
+        )
         healthy = []
         with pytest.raises(PoisonedShardError) as err:
             for item in backend.as_completed():

@@ -294,53 +294,3 @@ class TestCacheVerify:
     def test_missing_directory_is_empty_audit(self, tmp_path):
         audit = ArtifactCache(tmp_path / "never").verify()
         assert audit.ok and not audit.valid
-
-
-class TestShardBackendCachePersistence:
-    def test_workers_persist_directly_and_parent_does_not_restore(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.campaign import ShardBackend
-
-        cases = [c for _, c in _indexed_cases()[:2]]
-        cache = ArtifactCache(tmp_path / "cache")
-        parent_stores = []
-        monkeypatch.setattr(
-            cache, "store", lambda case, result: parent_stores.append(case)
-        )
-        campaign = Campaign(
-            cases, cache=cache, backend=ShardBackend(n_shards=2, jobs=1)
-        )
-        results = campaign.run()
-        assert len(results) == len(cases)
-        # Artifacts exist (the workers wrote them into the shared cache)
-        # without the parent re-storing them...
-        assert parent_stores == []
-        assert sorted(p.name for p in cache.root.glob("*.json")) == sorted(
-            c.artifact_name for c in cases
-        )
-        # ...and the worker-side stores are credited to the cache stats,
-        # so campaign/CLI reporting stays truthful.
-        assert cache.stats.stores == len(cases)
-        assert campaign.stats.computed == len(cases)
-        # ... and a warm re-run loads them.
-        warm = Campaign(cases, cache=cache)
-        warm.run()
-        assert warm.stats.cached == len(cases)
-        assert warm.stats.cache_hits == len(cases)
-
-    def test_persistent_work_dir_repeat_run_reports_cached(self, tmp_path):
-        # No campaign cache, but a persistent work dir: the second run is
-        # served entirely by the workers' own cache and must NOT be
-        # reported as computed.
-        from repro.campaign import ShardBackend
-
-        cases = [c for _, c in _indexed_cases()[:2]]
-        work = tmp_path / "work"
-        cold = Campaign(cases, backend=ShardBackend(2, jobs=1, work_dir=work))
-        cold.run()
-        assert cold.stats.computed == len(cases) and cold.stats.cached == 0
-        warm = Campaign(cases, backend=ShardBackend(2, jobs=1, work_dir=work))
-        warm.run()
-        assert warm.stats.computed == 0
-        assert warm.stats.cached == len(cases)

@@ -151,11 +151,20 @@ class TestBackendFlag:
         default = capsys.readouterr().out.splitlines()[0]
         assert serial == default
 
-    def test_shards_requires_shard_backend(self):
+    def test_shards_requires_queue_backend(self):
         with pytest.raises(SystemExit):
             main(["fig3", "--shards", "2"])
         with pytest.raises(SystemExit):
-            main(["fig3", "--backend", "shard", "--shards", "0"])
+            main(["fig3", "--backend", "queue", "--shards", "0"])
+
+    def test_shard_backend_and_command_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fig3", "--backend", "shard"])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["campaign", "shard", "--shards", "2", "--out-dir", "x"])
+        assert err.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
 
     def test_fig9_accepts_backend(self, capsys):
         assert main(["fig9", "--backend", "serial"]) == 0
@@ -163,7 +172,7 @@ class TestBackendFlag:
 
 
 class TestCampaignSubcommands:
-    """The shard/worker/merge/verify-cache protocol driven from the CLI."""
+    """The queue-init/worker/merge/verify-cache protocol driven from the CLI."""
 
     @staticmethod
     def _mini_suite(monkeypatch):
@@ -171,33 +180,37 @@ class TestCampaignSubcommands:
         from repro.experiments import fig6_aggregate
         from repro.experiments.cases import CaseSpec
 
+        # Two shards: the first two cases hash to shard 0 of 2, the third
+        # to shard 1.
         suite = lambda: [
             CaseSpec("cholesky", 3, 1.01),
             CaseSpec("random", 10, 1.1),
+            CaseSpec("cholesky", 3, 1.1),
         ]
         monkeypatch.setattr(fig6_aggregate, "default_suite", suite)
         monkeypatch.setattr(cli_mod, "default_suite", suite)
 
     def _shard_worker_merge(self, tmp_path, capsys):
-        shards = tmp_path / "shards"
+        queue = tmp_path / "queue"
         cache = tmp_path / "shard-cache"
         assert main(
-            ["campaign", "shard", "--scale", "quick", "--shards", "2",
-             "--out-dir", str(shards)]
+            ["campaign", "queue-init", str(queue), "--scale", "quick",
+             "--shards", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "2 cases" in out and "across 2 shards" in out
+        assert "2 shard(s) enqueued" in out and "3 cases" in out
         for k in (0, 1):
             assert main(
-                ["campaign", "worker", str(shards / f"shard-{k:03d}-of-002.json"),
+                ["campaign", "worker",
+                 str(queue / "tasks" / f"shard-{k:03d}-of-002.json"),
                  "--cache-dir", str(cache)]
             ) == 0
         capsys.readouterr()
         merged_json = tmp_path / "merged.json"
         assert main(
             ["campaign", "merge",
-             str(shards / "partial-000-of-002.json"),
-             str(shards / "partial-001-of-002.json"),
+             str(queue / "tasks" / "partial-000-of-002.json"),
+             str(queue / "tasks" / "partial-001-of-002.json"),
              "--json", str(merged_json)]
         ) == 0
         return merged_json, capsys.readouterr().out
@@ -226,6 +239,41 @@ class TestCampaignSubcommands:
         assert [p.name for p in files_a] == [p.name for p in files_b]
         for a, b in zip(files_a, files_b):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_worker_partial_lands_in_the_queue(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # `campaign worker --partial Q/partials/...` is the hand-run
+        # transport into a queue: the shard counts as done, and the bytes
+        # equal the partial written to the default path.
+        import json
+
+        self._mini_suite(monkeypatch)
+        queue = tmp_path / "queue"
+        manifest = queue / "tasks" / "shard-000-of-002.json"
+        assert main(
+            ["campaign", "queue-init", str(queue), "--scale", "quick",
+             "--shards", "2"]
+        ) == 0
+        assert main(
+            ["campaign", "worker", str(manifest),
+             "--cache-dir", str(tmp_path / "cache"),
+             "--partial", str(queue / "partials" / "partial-000-of-002.json")]
+        ) == 0
+        capsys.readouterr()
+        assert main(["campaign", "queue-status", str(queue), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["tasks"]["shard-000-of-002"]["state"] == "done"
+        assert status["tasks"]["shard-001-of-002"]["state"] == "open"
+        # Default destination (beside the manifest), against a fresh cache
+        # so the partial records the same computed/cached counts.
+        assert main(
+            ["campaign", "worker", str(manifest),
+             "--cache-dir", str(tmp_path / "cache-2")]
+        ) == 0
+        assert (queue / "partials" / "partial-000-of-002.json").read_bytes() == (
+            queue / "tasks" / "partial-000-of-002.json"
+        ).read_bytes()
 
     def test_worker_rejects_bad_manifest(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -257,7 +305,7 @@ class TestCampaignSubcommands:
             ["campaign", "verify-cache", "--cache-dir", str(cache),
              "--scale", "quick"]
         ) == 0
-        assert "2 valid, 0 corrupt" in capsys.readouterr().out
+        assert "3 valid, 0 corrupt" in capsys.readouterr().out
 
         (cache / "zz-broken.json").write_text("{truncated")
         assert main(

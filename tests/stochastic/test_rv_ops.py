@@ -167,3 +167,58 @@ class TestMaximum:
     def test_max_identity_single(self):
         rv = beta_rv(1.0, 2.0)
         assert NumericRV.max_of([rv]) is rv
+
+
+def _exact_max_mean(rvs, lo, hi):
+    """E[max] = lo + ∫ (1 − F) over [lo, hi], on a fine quadrature grid."""
+    xs = np.linspace(lo, hi, 200_001)
+    f = np.ones_like(xs)
+    for rv in rvs:
+        f *= rv.cdf(xs)
+    return lo + np.trapezoid(1.0 - f, xs)
+
+
+def _cell_masses(rv):
+    """Trapezoid mass of each grid point's cell (half cells at the ends)."""
+    w = np.full(len(rv.xs), rv.dx)
+    w[0] = w[-1] = rv.dx / 2
+    return w * rv.pdf
+
+
+class TestMaxCellGuard:
+    """``max_of`` with an operand narrower than one output cell."""
+
+    # b spans 0.055 inside a's [1, 10]; the output step is 0.125.
+    WIDE = (1.0, 10.0, 2.0, 3.0)
+    NARROW = (2.0, 2.0546875, 1.5, 8.0)
+
+    def test_narrow_operand_inside_wide_keeps_mean(self):
+        a = beta_rv(*self.WIDE, grid_n=65)
+        b = beta_rv(*self.NARROW, grid_n=65)
+        m = a.maximum(b)
+        exact = _exact_max_mean([a, b], m.lo, m.hi)
+        assert abs(m.mean() - exact) <= m.dx / 2
+        # The first cell holds P(max ≤ 2.0625), not a sample of b's spike.
+        p0 = float(a.cdf(2.0625) * b.cdf(2.0625))
+        assert _cell_masses(m)[0] == pytest.approx(p0, abs=1e-9)
+        assert np.trapezoid(m.pdf, m.xs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_narrow_operand_under_a_floor_keeps_atom(self):
+        a = beta_rv(*self.WIDE, grid_n=65)
+        b = beta_rv(1.98, 2.0328125, 1.5, 8.0, grid_n=65)
+        m = NumericRV.max_of([a, point_rv(2.0), b])
+        assert m.lo == 2.0
+        atom = float(a.cdf(2.0) * b.cdf(2.0))
+        assert m.atom == pytest.approx(atom, rel=1e-6)
+        p0 = float(a.cdf(2.0625) * b.cdf(2.0625))
+        assert _cell_masses(m)[0] == pytest.approx(p0, abs=1e-9)
+        exact = _exact_max_mean([a, b], 2.0, m.hi)
+        assert abs(m.mean() - exact) <= m.dx / 2
+
+    def test_smooth_result_is_returned_unchanged(self):
+        from repro.stochastic.rv import _max_cell_guard
+
+        a = beta_rv(10.0, 12.0)
+        b = beta_rv(11.0, 13.0)
+        m = a.maximum(b)
+        assert _max_cell_guard([a, b], m) is m
