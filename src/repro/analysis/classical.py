@@ -47,7 +47,9 @@ def classical_task_finishes(
 
     Pass ``engine`` to share the duration-RV intern pool and operation
     memos across several walks over the same model (e.g. the makespan and
-    a robustness replay of the same schedule).
+    a robustness replay of the same schedule).  This function does not end
+    the walk: :func:`classical_makespan` does, and a caller sharing an
+    engine across bare finish walks calls ``engine.end_walk()`` itself.
     """
     eng = BatchedGridEngine(model) if engine is None else engine
     w = schedule.workload
@@ -101,10 +103,17 @@ def classical_makespan(
     model: StochasticModel,
     engine: BatchedGridEngine | None = None,
 ) -> NumericRV:
-    """Makespan RV: the max of all exit-task finish distributions."""
+    """Makespan RV: the max of all exit-task finish distributions.
+
+    Ends the walk on the engine (:meth:`BatchedGridEngine.end_walk`), so a
+    shared engine keeps only the operand resamples later walks reuse.
+    """
     eng = BatchedGridEngine(model) if engine is None else engine
     finishes = classical_task_finishes(schedule, model, engine=eng)
-    return eng.max_groups([[finishes[v] for v in disjunctive_sinks(schedule)]])[0]
+    sinks = [finishes[v] for v in disjunctive_sinks(schedule)]
+    makespan = eng.max_groups([sinks])[0]
+    eng.end_walk()
+    return makespan
 
 
 def disjunctive_sinks(schedule: Schedule) -> list[int]:

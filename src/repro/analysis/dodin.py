@@ -214,11 +214,17 @@ def dodin_makespan(
     model: StochasticModel,
     engine: BatchedGridEngine | None = None,
 ) -> NumericRV:
-    """Makespan RV via series-parallel reduction (independence fallback)."""
+    """Makespan RV via series-parallel reduction (independence fallback).
+
+    Ends the walk on the engine, like :func:`classical_makespan` (a fully
+    reduced network never reaches the engine's sums).
+    """
     eng = BatchedGridEngine(model) if engine is None else engine
     g = _activity_network(schedule, model, engine=eng)
     _reduce(g, fast_conv=eng.fast_conv)
     if g.number_of_edges() == 1:
         _, _, data = next(iter(g.edges(data=True)))
         return data["rv"]
-    return _longest_path_rv(g, eng)
+    makespan = _longest_path_rv(g, eng)
+    eng.end_walk()
+    return makespan

@@ -12,22 +12,29 @@ operation costs a dozen numpy calls plus object/validation overhead.
 * every convolution of the level runs through one planned pipeline — the
   per-pair common-step grids of :func:`rv._conv_grid_plan` and one
   ``np.convolve`` per unique pair (the only reduction whose float grouping
-  depends on operand length, so it is never padded), then length-bucketed
-  batched trims (cumulative mass + window decisions over padded 2-D
-  blocks) and batched ``linspace``/resample/trapezoid refits;
+  depends on operand length, so it is never padded), then batched trims
+  and ``linspace``/resample/trapezoid refits: rows of at least
+  :data:`_LONG_ROW` points are trimmed one by one from an in-place
+  cumulative and refit together by :func:`interp_lattice`, which reads the
+  conv grid ``c0 + dx·k`` only at the indices it gathers; shorter rows are
+  trimmed in length-bucketed padded 2-D blocks (cumulative mass + window
+  decisions);
 * every N-way maximum of the level is grouped by fine-grid size and
   evaluated as one vectorized CDF product per group — per-operand C
   interpolations folded with one running product, one row-batched
   gradient, and batched trim/refit/atom accounting;
 * ``model.rv(duration)`` results are **interned** per engine (durations
   repeat heavily across tasks and edges), common-step operand resamples
-  are memoized, and sum/max results are memoized by operand *value*: every
-  operand is first mapped to a content-keyed value id (support endpoints,
-  length, atom and the raw density bytes), so two distinct objects holding
-  equal arrays — e.g. the same sub-expression reached through two
-  schedules of a shared-engine case panel — hit the same memo entry.  The
-  id→vid mapping is cached per object (with the operands kept alive so
-  ids stay valid), making the common case a single dict hit.
+  are memoized within a walk (only an interned RV's resample at its own
+  step outlives :meth:`BatchedGridEngine.end_walk`, so a shared engine
+  holds one walk's operand grids), and sum/max results are memoized by
+  operand *value*: every operand is first mapped to a content-keyed value
+  id (support endpoints, length, atom and the raw density bytes), so two
+  distinct objects holding equal arrays — e.g. the same sub-expression
+  reached through two schedules of a shared-engine case panel — hit the
+  same memo entry.  The id→vid mapping is cached per object (with the
+  operands kept alive so ids stay valid), making the common case a single
+  dict hit.
 
 Precision policy
 ----------------
@@ -48,8 +55,9 @@ order-sensitive, so the engine only batches operations that are provably
 order-preserving: elementwise arithmetic, per-row cumulative sums (padding
 only ever *follows* the true data, which cumulative prefixes never read),
 per-row pairwise reductions over equal-length rows, and an exact
-vectorized replica of ``np.interp`` (:func:`interp_uniform` — gathers and
-elementwise formulas, no reductions) plus one of ``np.gradient``
+vectorized replica of ``np.interp`` (:func:`interp_uniform`, and
+:func:`interp_lattice` for lattice sources — gathers and elementwise
+formulas, no reductions) plus one of ``np.gradient``
 (:func:`gradient_rows`).  Every decision (common steps, trim windows,
 fine-grid sizes, atom thresholds) runs the same arithmetic as the per-op
 methods in :mod:`repro.stochastic.rv`.  The frozen per-op walks in
@@ -60,7 +68,7 @@ unchanged (a pre-change campaign cache loads warm).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,7 +89,12 @@ from repro.stochastic.rv import (
     _trim_window,
 )
 
-__all__ = ["BatchedGridEngine", "interp_uniform", "gradient_rows"]
+__all__ = [
+    "BatchedGridEngine",
+    "interp_uniform",
+    "interp_lattice",
+    "gradient_rows",
+]
 
 #: Length-bucket growth bound for padded trim blocks: rows are sorted by
 #: length and split whenever padding a row to the bucket maximum would waste
@@ -94,6 +107,19 @@ _BUCKET_RATIO = 1.5
 #: scalar path instead of the padded batch pipeline (same primitives, same
 #: results; the batch stages only amortize past a few rows).
 _MIN_BATCH = 6
+
+#: Convolution rows of at least this many points skip the padded 2-D block:
+#: each is trimmed from an in-place cumulative and the batch refits through
+#: :func:`interp_lattice` (:meth:`BatchedGridEngine._refit_long`).  Measured
+#: on 12-row buckets (2-vCPU x86 host, numpy 2.4): the block costs 19-27 µs
+#: per row up to ~1,200 points, then 55-400 µs from 1,600 to 15,000; the
+#: in-place path 26-29 µs up to ~1,200 and 92 µs at 15,000.  On the exact
+#: dense-random walks (rows of median ~5,000 and p90 ~16,000 points)
+#: thresholds of 1,024 and 2,048 both halve the refit time of the four
+#: `dense` benchmark cases (4.4 s → 2.2 s); 1,024 keeps the fast policy's
+#: ~520-point rows on the block.  Purely a speed knob — both paths are
+#: bit-identical.
+_LONG_ROW = 1024
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -162,6 +188,52 @@ def interp_uniform(
     slope = (fp_flat[ej + 1] - fpj) / (xp_flat[ej + 1] - xpj)
     res = slope * (xq - xpj) + fpj
     res = np.where(xq == xlast, fp_flat[off + n - 1], res)
+    res = np.where(xq < x0, left, res)
+    res = np.where(xq > xlast, right, res)
+    return res
+
+
+def interp_lattice(
+    xq: np.ndarray,
+    c0: np.ndarray,
+    dx: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    fps: Sequence[np.ndarray],
+    left: float,
+    right: float,
+) -> np.ndarray:
+    """Bit-exact row-wise ``np.interp`` against lattice windows.
+
+    Row ``p`` of the 2-D queries ``xq`` is interpolated exactly like
+    ``np.interp(xq[p], c0[p] + dx[p] * np.arange(lo[p], hi[p] + 1),
+    fps[p][lo[p] : hi[p] + 1], left=left, right=right)`` — but no source
+    grid is built: the coordinates ``c0 + dx·k`` are evaluated only at the
+    indices ``k`` the search visits, and densities are gathered from
+    ``fps``.  The search is :func:`interp_uniform`'s (an arithmetic seed
+    corrected by exact comparisons), which lands where binary search does.
+    """
+    c = c0[:, None]
+    d = dx[:, None]
+    k_lo = lo[:, None]
+    k_last = (hi - 1)[:, None]
+    x0 = c + d * k_lo
+    xlast = c + d * hi[:, None]
+    j = ((xq - c) / d).astype(np.intp)
+    np.clip(j, k_lo, k_last, out=j)
+    j -= ((c + d * j) > xq) & (j > k_lo)
+    j += (j < k_last) & ((c + d * (j + 1)) <= xq)
+    xpj = c + d * j
+    fpj = np.empty_like(xq)
+    fpj1 = np.empty_like(xq)
+    flast = np.empty(len(xq))
+    for p, fp in enumerate(fps):
+        fpj[p] = fp[j[p]]
+        fpj1[p] = fp[j[p] + 1]
+        flast[p] = fp[hi[p]]
+    slope = (fpj1 - fpj) / ((c + d * (j + 1)) - xpj)
+    res = slope * (xq - xpj) + fpj
+    res = np.where(xq == xlast, flast[:, None], res)
     res = np.where(xq < x0, left, res)
     res = np.where(xq > xlast, right, res)
     return res
@@ -237,6 +309,28 @@ def _rows_trim_window(
     return lo, hi
 
 
+def _block_rows(
+    xs2: np.ndarray, pdf2: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple:
+    """``_finish_refit`` sources over (possibly padded) 2-D op rows.
+
+    The interpolation sources are the rows themselves, which is exact
+    because in-window queries never reach the padding.
+    """
+    rows = np.arange(len(xs2))
+
+    def resample(g: np.ndarray, out_xs: np.ndarray) -> np.ndarray:
+        gn = out_xs.shape[1]
+        return interp_uniform(
+            out_xs.reshape(-1), np.repeat(g, gn), xs2, pdf2, 0.0, 0.0
+        ).reshape(len(g), gn)
+
+    def window(p: int) -> tuple[np.ndarray, np.ndarray]:
+        return xs2[p, lo[p] : hi[p] + 1].copy(), pdf2[p, lo[p] : hi[p] + 1]
+
+    return xs2[rows, lo], xs2[rows, hi], resample, window
+
+
 class BatchedGridEngine:
     """Batched, interned, memoized grid-RV algebra for one model.
 
@@ -251,10 +345,19 @@ class BatchedGridEngine:
         #: Whether the fast precision policy is active (``model.fast_conv``).
         self.fast_conv = bool(getattr(model, "fast_conv", False))
         self._rv_pool: dict[float, NumericRV] = {}
+        self._interned: set[int] = set()  # id() of the _rv_pool members
         self._point_pool: dict[float, NumericRV] = {}
         self._add_memo: dict[tuple[int, int], tuple] = {}
         self._max_memo: dict[tuple[int, ...], tuple] = {}
-        self._resample_memo: dict[tuple[int, float, int], tuple] = {}
+        # Operand resamples keyed on (value id, dx, n).  Only an interned
+        # duration RV resampled at its own step recurs across walks; the
+        # keys of every other resample (a finish-time grid at a partner's
+        # fine step, often ~16k points) are listed as they are added and
+        # evicted by end_walk(), so a panel-shared engine holds one walk's
+        # grids, not every walk's.
+        self._resample_memo: dict[tuple[int, float, int], np.ndarray] = {}
+        self._walk_resamples: list[tuple[int, float, int]] = []
+        self._resamples = 0
         # Value interning: content signature → value id, with a per-object
         # id cache (operands are kept alive so ids stay valid).
         self._value_ids: dict[int, int] = {}
@@ -307,6 +410,7 @@ class BatchedGridEngine:
         if rv is None:
             rv = self.model.rv(w)
             self._rv_pool[w] = rv
+            self._interned.add(id(rv))
         return rv
 
     def point(self, x: float) -> NumericRV:
@@ -363,18 +467,37 @@ class BatchedGridEngine:
 
         The common-step grid depends only on (operand, dx, n), and narrow
         duration/communication RVs impose their fine step on every partner —
-        so the resample repeats across a walk and is worth caching.
+        so the resample repeats within a walk and is worth caching.  Only an
+        interned RV at its own step is kept past :meth:`end_walk`.
         """
         key = (self._vid(rv), dx, n)
         hit = self._resample_memo.get(key)
         if hit is not None:
-            return hit[1]
-        grid = rv.xs[0] + dx * np.arange(n)
+            return hit
+        # rv.xs[0] + dx·k, built in place (no int arange, no product temp).
+        grid = np.arange(n, dtype=float)
+        grid *= dx
+        grid += rv.xs[0]
         y = _rescue_lost_operand(
             rv.xs, rv.pdf, grid, resample_pdf(rv.xs, rv.pdf, grid)
         )
-        self._resample_memo[key] = (rv, y)
+        self._resample_memo[key] = y
+        self._resamples += 1
+        if id(rv) not in self._interned or dx != rv.xs[1] - rv.xs[0]:
+            self._walk_resamples.append(key)
         return y
+
+    def end_walk(self) -> None:
+        """Evict the walk-local operand resamples (see ``_resample_memo``).
+
+        Called at the end of every schedule walk; costs O(this walk).  The
+        value ids stay mapped and their objects kept: releasing a kept
+        object while its ``id()`` is still mapped would let a recycled id
+        alias a stale value id and return a wrong memo hit.
+        """
+        for key in self._walk_resamples:
+            del self._resample_memo[key]
+        self._walk_resamples.clear()
 
     def _conv_job(self, job: tuple) -> tuple:
         """Plan + convolve one unique sum job (per-op primitives).
@@ -404,16 +527,25 @@ class BatchedGridEngine:
         # length: never padded, always the per-op kernel.
         if self.fast_conv and min(n_a, n_b) >= _FFT_MIN_OPERAND:
             self._fft_convs += 1
-        conv = _conv_kernel(ya, yb, fast=self.fast_conv) * dx
+        conv = _conv_kernel(ya, yb, fast=self.fast_conv)
+        conv *= dx  # in place: both kernels return a fresh array
         return (job, conv, xs_a[0] + xs_b[0], dx, grid_n)
 
     def _add_batch(self, jobs: list, results: list) -> None:
-        """Convolve every unique sum job, then bucket-refit the results."""
+        """Convolve every unique sum job, then refit the results.
+
+        Rows of at least :data:`_LONG_ROW` points refit in place; the
+        shorter ones in length buckets of padded 2-D blocks.
+        """
         items = [self._conv_job(job) for job in jobs]
         if len(items) < _MIN_BATCH:
             for item in items:
                 self._refit_single(item, results)
             return
+        long_rows = [it for it in items if len(it[1]) >= _LONG_ROW]
+        if long_rows:
+            self._refit_long(long_rows, results)
+            items = [it for it in items if len(it[1]) < _LONG_ROW]
         # Bucket by convolution length so padded trim blocks waste a
         # bounded factor even when supports vary wildly within a level;
         # small buckets keep absorbing longer rows (fixed per-bucket cost
@@ -465,6 +597,50 @@ class BatchedGridEngine:
         self._store(job[1], job, rv)
         results[job[0]] = rv
 
+    def _refit_long(self, items: list, results: list) -> None:
+        """Trim and refit long convolution rows without a padded block.
+
+        Each row's trim window comes from an in-place cumulative (the
+        arithmetic of :func:`~repro.stochastic.grid.cumulative`) and the
+        scalar :func:`rv._trim_window`; the batch then refits through one
+        :func:`interp_lattice` call on the conv grids ``c0 + dx·k``.
+        """
+        P = len(items)
+        convs = [it[1] for it in items]
+        c0 = np.array([it[2] for it in items])
+        dxs = np.array([it[3] for it in items])
+        grid_ns = np.array([it[4] for it in items], dtype=np.intp)
+        lo = np.empty(P, dtype=np.intp)
+        hi = np.empty(P, dtype=np.intp)
+        buf = np.empty(max(len(conv) for conv in convs))
+        for p, (_, conv, c, dx, _) in enumerate(items):
+            n = len(conv)
+            cdf = buf[:n]
+            cdf[0] = 0.0
+            tail = cdf[1:]
+            np.add(conv[1:], conv[:-1], out=tail)
+            # The trim step is the grid step (c0 + dx) − c0, as in
+            # _refit_single.
+            tail *= 0.5 * ((c + dx) - c)
+            np.cumsum(tail, out=tail)
+            lo[p], hi[p] = _trim_window(cdf, n)
+
+        def resample(g: np.ndarray, out_xs: np.ndarray) -> np.ndarray:
+            return interp_lattice(
+                out_xs, c0[g], dxs[g], lo[g], hi[g], [convs[p] for p in g],
+                0.0, 0.0,
+            )
+
+        def window(p: int) -> tuple[np.ndarray, np.ndarray]:
+            xs = dxs[p] * np.arange(lo[p], hi[p] + 1)
+            xs += c0[p]
+            return xs, convs[p][lo[p] : hi[p] + 1]
+
+        self._finish_refit(
+            [it[0] for it in items], results, lo, hi, grid_ns,
+            c0 + dxs * lo, c0 + dxs * hi, resample, window,
+        )
+
     def _refit_bucket(self, items: list, results: list) -> None:
         """Pad one conv-length bucket, trim it, and refit every row."""
         P = len(items)
@@ -489,18 +665,21 @@ class BatchedGridEngine:
         cdf2 = _rows_cumulative(pdf2, dx_grid)
         lo, hi = _rows_trim_window(cdf2, lens, left=True)
         self._finish_refit(
-            [it[0] for it in items], results, xs2, pdf2, lo, hi, grid_ns
+            [it[0] for it in items], results, lo, hi, grid_ns,
+            *_block_rows(xs2, pdf2, lo, hi),
         )
 
     def _finish_refit(
         self,
         jobs: list,
         results: list,
-        xs2: np.ndarray,
-        pdf2: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
         grid_ns: np.ndarray,
+        x_lo: np.ndarray,
+        x_hi: np.ndarray,
+        resample: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        window: Callable[[int], tuple[np.ndarray, np.ndarray]],
         atoms: np.ndarray | None = None,
         maxima: bool = False,
     ) -> None:
@@ -510,17 +689,15 @@ class BatchedGridEngine:
         — including its no-resample shortcut when the window already has
         ``grid_n`` points — or the atom branch of ``max_of`` when ``atoms``
         is given; with ``maxima`` (max jobs) every row then passes
-        ``max_of``'s ``_max_cell_guard``.  ``xs2``/``pdf2`` are the
-        (possibly padded) op rows; the interpolation sources are the rows
-        themselves, which is exact because in-window queries never reach
-        the padding.
+        ``max_of``'s ``_max_cell_guard``.  The op rows are read through the
+        caller's sources: ``x_lo``/``x_hi`` are the window end coordinates,
+        ``resample(g, out_xs)`` interpolates rows ``g`` onto the 2-D
+        ``out_xs``, and ``window(p)`` returns row ``p``'s trimmed
+        ``(xs, pdf)`` (:func:`_block_rows` for padded blocks, the lattice
+        of :meth:`_refit_long` for long sum rows).
         """
-        P = len(jobs)
-        rows = np.arange(P)
+        rows = np.arange(len(jobs))
         win_len = hi - lo + 1
-        x_lo = xs2[rows, lo]
-        x_hi = xs2[rows, hi]
-
         gn0 = int(grid_ns[0])
         uniform_gn = bool((grid_ns == gn0).all())
         for gn in ((gn0,) if uniform_gn else np.unique(grid_ns)):
@@ -536,14 +713,7 @@ class BatchedGridEngine:
                 else np.zeros(len(g), dtype=bool)
             )
             out_xs = _linspace_rows(x_lo[g], x_hi[g], gn)
-            out_pdf = interp_uniform(
-                out_xs.reshape(-1),
-                np.repeat(g, gn),
-                xs2,
-                pdf2,
-                0.0,
-                0.0,
-            ).reshape(len(g), gn)
+            out_pdf = resample(g, out_xs)
             # Batched unit-mass normalization (trapezoid over equal-length
             # rows is numpy's own pairwise reduction, row for row).
             out_dx = out_xs[:, 1] - out_xs[:, 0]
@@ -552,8 +722,8 @@ class BatchedGridEngine:
             ).sum(axis=-1)
             for k, p in enumerate(g):
                 if direct[k]:
-                    xs_row = xs2[p, lo[p] : hi[p] + 1].copy()
-                    pdf_row = np.maximum(pdf2[p, lo[p] : hi[p] + 1], 0.0)
+                    xs_row, pdf_row = window(p)
+                    pdf_row = np.maximum(pdf_row, 0.0)
                     dx = xs_row[1] - xs_row[0]
                     total = _trapz(pdf_row, dx)
                 else:
@@ -755,11 +925,10 @@ class BatchedGridEngine:
             self._finish_refit(
                 [jobs[p] for p in g],
                 results,
-                xs2[g],
-                pdf2[g],
                 lo_w,
                 hi_w,
                 grid_ns[g],
+                *_block_rows(xs2[g], pdf2[g], lo_w, hi_w),
                 atoms=None if atoms is None else atoms[g],
                 maxima=True,
             )
@@ -773,7 +942,9 @@ class BatchedGridEngine:
         """Intern/memo pool sizes and fast-policy counters (diagnostics/tests).
 
         ``value_pool`` counts distinct operand *values* seen by the memos;
-        ``conv_capped``/``max_capped`` count how often the fast-policy
+        ``resample_memo`` counts the operand resamples computed (monotone:
+        :meth:`end_walk` evictions do not lower it, and a resample computed
+        again after one counts again); ``conv_capped``/``max_capped`` count how often the fast-policy
         budgets actually bound a plan (always 0 in exact mode), and
         ``fft_convs`` how many convolutions dispatched to the FFT kernel.
         """
@@ -781,7 +952,7 @@ class BatchedGridEngine:
             "rv_pool": len(self._rv_pool),
             "add_memo": len(self._add_memo),
             "max_memo": len(self._max_memo),
-            "resample_memo": len(self._resample_memo),
+            "resample_memo": self._resamples,
             "value_pool": len(self._value_keys),
             "conv_capped": self._conv_capped,
             "max_capped": self._max_capped,

@@ -34,14 +34,17 @@ from repro.schedule import ALL_HEURISTICS, heft
 from repro.schedule.random_schedule import random_schedule
 from repro.stochastic import NumericRV, StochasticModel, beta_rv, point_rv
 from repro.stochastic.batch import (
+    _LONG_ROW,
     _MIN_BATCH,
     BatchedGridEngine,
     _linspace,
     _linspace_rows,
     _trapz,
     gradient_rows,
+    interp_lattice,
     interp_uniform,
 )
+from repro.stochastic.rv import _conv_grid_plan, _convolve, _trim_tails
 
 
 def assert_rv_equal(a, b, ctx=""):
@@ -150,6 +153,50 @@ class TestClassicalEquivalence:
         assert eng2.stats["value_pool"] >= 2
 
 
+class TestWalkMemory:
+    """A panel-shared engine keeps one walk of operand resamples, not all."""
+
+    @staticmethod
+    def resample_bytes(engine, vids=None):
+        return sum(
+            y.nbytes
+            for key, y in engine._resample_memo.items()
+            if vids is None or key[0] in vids
+        )
+
+    @pytest.mark.parametrize(
+        "walk,oracle",
+        [
+            (classical_makespan, classical_makespan_reference),
+            (dodin_makespan, dodin_makespan_reference),
+        ],
+        ids=["classical", "dodin"],
+    )
+    def test_retained_resamples_stay_one_walk(self, walk, oracle):
+        # UL 1.01: narrow communication RVs impose fine common steps, so
+        # every walk resamples finish times onto long grids.
+        w = random_workload(40, 5, rng=15)
+        model = StochasticModel(ul=1.01, grid_n=65)
+        engine = BatchedGridEngine(model)
+        retained = []
+        for r in range(4):
+            s = random_schedule(w, rng=30 + r)
+            assert_rv_equal(
+                walk(s, model, engine=engine), oracle(s, model), f"walk {r}"
+            )
+            retained.append(self.resample_bytes(engine))
+        interned = {
+            engine._value_ids[id(rv)]
+            for rv in engine._rv_pool.values()
+            if id(rv) in engine._value_ids
+        }
+        assert retained[-1] <= retained[0] + self.resample_bytes(
+            engine, interned
+        )
+        # The stat counts computed resamples, evicted ones included.
+        assert engine.stats["resample_memo"] > len(engine._resample_memo)
+
+
 class TestDodinEquivalence:
     @pytest.mark.parametrize("name,w", WORKLOADS, ids=[n for n, _ in WORKLOADS])
     def test_makespan(self, name, w):
@@ -218,6 +265,69 @@ class TestMaxCellGuardEquivalence:
             assert got.pdf[0] * got.dx / 2 == pytest.approx(p0, abs=1e-9)
 
 
+class TestLongRowRefit:
+    """Sum rows of at least ``_LONG_ROW`` points refit without a block."""
+
+    #: Narrow-block widths that trim a spike-ended operand's convolution to
+    #: exactly ``grid_n`` points — the ``from_pdf`` shortcut.  At grid_n 65
+    #: and 129 that row is long; at 33 a long row cannot trim that far (the
+    #: wide operand's last cell alone spans ≥ 32 conv steps), so it is short.
+    DIRECT_Q = {33: 7, 65: 39, 129: 103}
+
+    @staticmethod
+    def direct_pair(grid_n):
+        xs = np.linspace(10.0, 34.0, grid_n)
+        ramp = np.zeros(grid_n)
+        ramp[-1] = 2.0 / (xs[1] - xs[0])
+        wide = NumericRV(xs, ramp)
+        xs = np.linspace(0.0, 1.0, grid_n)
+        block = np.zeros(grid_n)
+        block[1 : TestLongRowRefit.DIRECT_Q[grid_n] + 1] = 1.0
+        narrow = NumericRV(xs, block / np.trapezoid(block, xs))
+        return wide, narrow
+
+    @staticmethod
+    def conv_len(a, b):
+        _, n_a, n_b = _conv_grid_plan(a.dx, a.hi - a.lo, b.dx, b.hi - b.lo)
+        return n_a + n_b - 1
+
+    @pytest.mark.parametrize("grid_n", [33, 65, 129])
+    @pytest.mark.parametrize("ul", [1.01, 1.1])
+    def test_mixed_batch_matches_per_op_add(self, ul, grid_n):
+        model = StochasticModel(ul=ul, grid_n=grid_n)
+        comm_w = (ul - 1.0) * 0.5
+        pairs = []
+        # Narrow comm RV × wide finish RV: long rows, one capped at
+        # _MAX_CONV_POINTS (a coarsened common step) and one refit to a
+        # finer grid (its finish RV has more points).
+        for k, target in enumerate((1100, 1800, 3000, 5200, 9000, 16000, 60000)):
+            width = comm_w * target / (grid_n - 1)
+            n = 2 * grid_n - 1 if k == 3 else grid_n
+            finish = beta_rv(20.0 + k, 20.0 + k + width, grid_n=n)
+            pairs.append((finish, model.rv(0.5 + 0.01 * k)))
+        # Comparable widths: short rows, one length bucket.
+        for k in range(_MIN_BATCH):
+            width = comm_w * (4.0 + 0.3 * k)
+            finish = beta_rv(5.0 + k, 5.0 + k + width, grid_n=grid_n)
+            pairs.append((model.rv(0.5), finish))
+        pairs.append(self.direct_pair(grid_n))
+
+        lengths = [self.conv_len(a, b) for a, b in pairs]
+        long_rows = lengths[:7]
+        assert len(long_rows) >= _MIN_BATCH and min(long_rows) >= _LONG_ROW
+        assert max(lengths[7:-1]) < _LONG_ROW
+        assert (lengths[-1] >= _LONG_ROW) == (grid_n > 33)
+        wide, narrow = pairs[-1]
+        direct_xs, _ = _trim_tails(
+            *_convolve(wide.xs, wide.pdf, narrow.xs, narrow.pdf)
+        )
+        assert len(direct_xs) == grid_n
+
+        engine = BatchedGridEngine(model)
+        for k, (got, (a, b)) in enumerate(zip(engine.add_pairs(pairs), pairs)):
+            assert_rv_equal(got, a.add(b), f"row {k} ({lengths[k]} points)")
+
+
 class TestNumpyReplicas:
     """The engine's vectorized kernels vs the numpy primitives they mirror."""
 
@@ -245,6 +355,42 @@ class TestNumpyReplicas:
             q, np.zeros(len(q), dtype=np.intp), xp[None], fp[None], left, right
         )
         assert np.array_equal(got, np.interp(q, xp, fp, left=left, right=right))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_interp_lattice_matches_np_interp(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        rows = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(2, 80))
+        c0 = rng.normal(size=rows) * 100
+        dx = 10 ** rng.uniform(-6, 1, rows)
+        lo = np.empty(rows, dtype=np.intp)
+        hi = np.empty(rows, dtype=np.intp)
+        fps, xq = [], np.empty((rows, m))
+        for p in range(rows):
+            n = int(rng.integers(3, 3000))
+            lo[p] = rng.integers(0, n - 1)
+            hi[p] = rng.integers(lo[p] + 1, n)
+            fps.append(rng.random(n))
+            x_lo, x_hi = c0[p] + dx[p] * lo[p], c0[p] + dx[p] * hi[p]
+            pad = (x_hi - x_lo) * 0.1
+            q = np.concatenate(
+                [
+                    _linspace(x_lo, x_hi, m),  # the refit's own queries
+                    rng.uniform(x_lo - pad, x_hi + pad, m),
+                    c0[p] + dx[p] * rng.integers(lo[p], hi[p] + 1, m),
+                ]
+            )
+            xq[p] = rng.choice(q, m)
+            xq[p, 0], xq[p, -1] = x_lo, x_hi
+        left, right = rng.normal(), rng.normal()
+        got = interp_lattice(xq, c0, dx, lo, hi, fps, left, right)
+        for p in range(rows):
+            xp = c0[p] + dx[p] * np.arange(lo[p], hi[p] + 1)
+            want = np.interp(
+                xq[p], xp, fps[p][lo[p] : hi[p] + 1], left=left, right=right
+            )
+            assert np.array_equal(got[p], want)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
