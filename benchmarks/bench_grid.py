@@ -17,6 +17,13 @@ graphs the wall-clock is dominated by the irreducible C kernels (the
 common-step convolutions themselves), which bit-identity pins, so the
 ratio is reported but only floored near parity.
 
+The ``classical_panel`` row times a case panel at the shape of the query
+service's miss (Cholesky 35, 50 random schedules plus HEFT/BIL/BMCT):
+walking its schedules one at a time through a shared engine against the
+lockstep panel walk that :func:`~repro.core.study.evaluate_case` uses.
+Both give identical makespans; the panel fills the engine's batched
+blocks where a single schedule's level mostly takes the scalar path.
+
 The ``*_fastconv`` rows measure the opt-in fast precision policy on the
 dense random shape — the convolution wall the policy exists to break.
 Those pairs are *not* bit-identical (the caps bound the intermediate
@@ -29,17 +36,20 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.analysis._reference import (
     classical_makespan_reference,
     dodin_makespan_reference,
 )
-from repro.analysis.classical import classical_makespan
+from repro.analysis.classical import classical_makespan, classical_makespans
 from repro.analysis.dodin import dodin_makespan
 from repro.platform import cholesky_workload, ge_workload, random_workload
-from repro.schedule import heft
+from repro.schedule import ALL_HEURISTICS, heft
+from repro.schedule.random_schedule import random_schedules
 from repro.stochastic import StochasticModel
+from repro.stochastic.batch import BatchedGridEngine
 
 
 def best_of(fn, reps: int) -> float:
@@ -129,6 +139,40 @@ class TestDodinMakespan:
         # data-dependent), so its floor sits below the classical one.
         dodin_floor = min(floor, 1.4) if floor >= 2.0 else 1.0
         assert ratio >= (dodin_floor / 2.0 if bench_quick else dodin_floor)
+
+
+class TestClassicalPanel:
+    """One schedule at a time through a shared engine vs the lockstep panel
+    walk, on the query service's miss shape."""
+
+    _FLOOR = 1.2
+
+    def test_classical_panel(self, record_bench, bench_quick, model):
+        w = cholesky_workload(5, 8, rng=1)
+        schedules = list(random_schedules(w, 50, rng=2))
+        schedules += [ALL_HEURISTICS[h](w) for h in ("heft", "bil", "bmct")]
+
+        # A fresh engine per call: a warm one would answer from its memos.
+        def one_at_a_time():
+            engine = BatchedGridEngine(model)
+            return [classical_makespan(s, model, engine=engine) for s in schedules]
+
+        def panel():
+            return classical_makespans(schedules, model)
+
+        for a, b in zip(one_at_a_time(), panel()):
+            assert np.array_equal(a.xs, b.xs) and a.atom == b.atom
+            assert a.is_point or np.array_equal(a.pdf, b.pdf)
+        reps = 3 if bench_quick else 7
+        ratio = _pair(
+            record_bench,
+            "classical_panel",
+            "cholesky_n35_m8_s53",
+            one_at_a_time,
+            panel,
+            reps,
+        )
+        assert ratio >= (self._FLOOR / 2.0 if bench_quick else self._FLOOR)
 
 
 class TestFastConv:

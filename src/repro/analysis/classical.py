@@ -13,22 +13,88 @@ The walk is *level-synchronous*: all grid operations of one DAG level are
 independent, so they are dispatched together through the batched grid-RV
 engine (:class:`~repro.stochastic.batch.BatchedGridEngine`) — interned
 duration RVs, batched convolution trims/refits, vectorized N-way CDF
-products.  The results are bit-identical to the historical per-task per-op
-walk, which is kept frozen as
+products.  :func:`classical_makespans` walks a whole *panel* of schedules
+of one workload in lockstep: level ``k`` of every schedule that has one
+goes into the same three engine calls (arrival sums, join maxima,
+duration sums), so a case panel fills the engine's batched blocks where a
+single schedule's level (about two unique sums on a Cholesky 35 walk)
+would take the per-op scalar path.  :func:`repro.core.study.evaluate_case`
+walks a case in chunks of ``_PANEL_CHUNK`` (64) schedules.  The
+one-schedule entry points are the panel walk of one schedule.  The results are bit-identical to the
+historical per-task per-op walk, which is kept frozen as
 :func:`repro.analysis._reference.classical_task_finishes_reference` and
 asserted equal by the equivalence suite.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.schedule.schedule import Schedule
-from repro.stochastic.batch import BatchedGridEngine
+from repro.stochastic.batch import BatchedGridEngine, engine_for
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.rv import NumericRV
 
-__all__ = ["classical_makespan", "classical_task_finishes"]
+__all__ = ["classical_makespan", "classical_makespans", "classical_task_finishes"]
+
+
+def _walk_panel(
+    schedules: Sequence[Schedule], eng: BatchedGridEngine
+) -> list[list[NumericRV]]:
+    """Finish-time RV of every task of every schedule, levels in lockstep.
+
+    Level ``k`` of every schedule that has one is dispatched as three
+    batched engine steps: all arrival convolutions, all join maxima, all
+    duration convolutions; schedules with fewer levels drop out.  The
+    per-task predecessor order (and therefore every grid operation)
+    matches the historical per-op walk exactly.
+    """
+    walks = [
+        (s.workload, s.disjunctive(), s.proc, s.edge_min_comm())
+        for s in schedules
+    ]
+    finishes: list[list] = [[None] * s.workload.n_tasks for s in schedules]
+    n_levels = max((dis.n_levels for _, dis, _, _ in walks), default=0)
+    for level in range(n_levels):
+        # 1) arrival = finish[pred] (+ comm) for every incoming edge.
+        arrival_pairs: list[tuple[NumericRV, NumericRV]] = []
+        slots: list[tuple[list, int, float, list]] = []
+        for (w, dis, proc, edge_comm), fin in zip(walks, finishes):
+            if level >= dis.n_levels:
+                continue
+            ep, src, topo = dis.edge_ptr, dis.edge_src, dis.topo
+            i0, i1 = int(dis.level_ptr[level]), int(dis.level_ptr[level + 1])
+            for i in range(i0, i1):
+                parts: list = []
+                for e in range(int(ep[i]), int(ep[i + 1])):
+                    fu = fin[int(src[e])]
+                    assert fu is not None, "topological order violated"
+                    c = float(edge_comm[e])
+                    if c > 0.0:
+                        parts.append(len(arrival_pairs))
+                        arrival_pairs.append((fu, eng.rv(c)))
+                    else:
+                        parts.append(fu)
+                v = int(topo[i])
+                slots.append((fin, v, w.duration(v, int(proc[v])), parts))
+        arrivals = eng.add_pairs(arrival_pairs)
+        # 2) start = max over arrivals (0 for entry tasks).
+        groups = [
+            [arrivals[p] if isinstance(p, int) else p for p in parts]
+            for *_, parts in slots
+            if parts
+        ]
+        maxima = iter(eng.max_groups(groups))
+        # 3) finish = start + duration.
+        dur_pairs = [
+            (next(maxima) if parts else eng.point(0.0), eng.rv(d))
+            for _, _, d, parts in slots
+        ]
+        for (fin, v, _, _), f in zip(slots, eng.add_pairs(dur_pairs)):
+            fin[v] = f
+    return finishes
 
 
 def classical_task_finishes(
@@ -38,64 +104,36 @@ def classical_task_finishes(
 ) -> list[NumericRV]:
     """Finish-time RV of every task under the independence assumption.
 
-    Walks the schedule's flat CSR arrays one level at a time; within a
-    level, all arrival convolutions, all join maxima and all duration
-    convolutions are dispatched as three batched engine steps.  The
-    per-task predecessor order (and therefore every grid operation) matches
-    the historical per-op walk exactly — the engine is a bit-identical
-    batching of the same algebra.
-
-    Pass ``engine`` to share the duration-RV intern pool and operation
-    memos across several walks over the same model (e.g. the makespan and
-    a robustness replay of the same schedule).  This function does not end
-    the walk: :func:`classical_makespan` does, and a caller sharing an
-    engine across bare finish walks calls ``engine.end_walk()`` itself.
+    The panel walk of one schedule.  Pass ``engine`` to share the
+    duration-RV intern pool and operation memos across several walks over
+    the same model (e.g. the makespan and a robustness replay of the same
+    schedule); it must have been built for ``model`` (``ValueError``
+    otherwise).
     """
-    eng = BatchedGridEngine(model) if engine is None else engine
-    w = schedule.workload
-    dis = schedule.disjunctive()
-    proc = schedule.proc
-    edge_comm = schedule.edge_min_comm()
-    ep, src = dis.edge_ptr, dis.edge_src
-    topo, lp = dis.topo, dis.level_ptr
-    finishes: list[NumericRV | None] = [None] * w.n_tasks
+    return _walk_panel([schedule], engine_for(model, engine))[0]
 
-    for level in range(dis.n_levels):
-        i0, i1 = int(lp[level]), int(lp[level + 1])
-        # 1) arrival = finish[pred] (+ comm) for every incoming edge.
-        arrival_pairs: list[tuple[NumericRV, NumericRV]] = []
-        slots: list[list] = []
-        for i in range(i0, i1):
-            parts: list = []
-            for e in range(int(ep[i]), int(ep[i + 1])):
-                fu = finishes[int(src[e])]
-                assert fu is not None, "topological order violated"
-                c = float(edge_comm[e])
-                if c > 0.0:
-                    parts.append(len(arrival_pairs))
-                    arrival_pairs.append((fu, eng.rv(c)))
-                else:
-                    parts.append(fu)
-            slots.append(parts)
-        arrivals = eng.add_pairs(arrival_pairs)
-        # 2) start = max over arrivals (0 for entry tasks).
-        groups = [
-            [arrivals[p] if isinstance(p, int) else p for p in parts]
-            for parts in slots
-            if parts
+
+def classical_makespans(
+    schedules: Sequence[Schedule],
+    model: StochasticModel,
+    engine: BatchedGridEngine | None = None,
+) -> list[NumericRV]:
+    """Makespan RV of every schedule of a panel over one workload.
+
+    Walks the schedules in lockstep (see the module docstring); every
+    makespan is the max of its schedule's exit-task finishes, all taken in
+    one final batched step.  Each result is bit-identical to walking its
+    schedule alone.  ``engine`` is shared as in
+    :func:`classical_task_finishes`.
+    """
+    eng = engine_for(model, engine)
+    finishes = _walk_panel(schedules, eng)
+    return eng.max_groups(
+        [
+            [fin[v] for v in disjunctive_sinks(s)]
+            for s, fin in zip(schedules, finishes)
         ]
-        maxima = iter(eng.max_groups(groups))
-        starts = [
-            next(maxima) if parts else eng.point(0.0) for parts in slots
-        ]
-        # 3) finish = start + duration.
-        dur_pairs = [
-            (start, eng.rv(w.duration(int(topo[i0 + j]), int(proc[topo[i0 + j]]))))
-            for j, start in enumerate(starts)
-        ]
-        for j, fin in enumerate(eng.add_pairs(dur_pairs)):
-            finishes[int(topo[i0 + j])] = fin
-    return finishes  # type: ignore[return-value]
+    )
 
 
 def classical_makespan(
@@ -103,17 +141,8 @@ def classical_makespan(
     model: StochasticModel,
     engine: BatchedGridEngine | None = None,
 ) -> NumericRV:
-    """Makespan RV: the max of all exit-task finish distributions.
-
-    Ends the walk on the engine (:meth:`BatchedGridEngine.end_walk`), so a
-    shared engine keeps only the operand resamples later walks reuse.
-    """
-    eng = BatchedGridEngine(model) if engine is None else engine
-    finishes = classical_task_finishes(schedule, model, engine=eng)
-    sinks = [finishes[v] for v in disjunctive_sinks(schedule)]
-    makespan = eng.max_groups([sinks])[0]
-    eng.end_walk()
-    return makespan
+    """Makespan RV: the max of all exit-task finish distributions."""
+    return classical_makespans([schedule], model, engine=engine)[0]
 
 
 def disjunctive_sinks(schedule: Schedule) -> list[int]:

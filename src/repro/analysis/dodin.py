@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.schedule.schedule import Schedule
-from repro.stochastic.batch import BatchedGridEngine
+from repro.stochastic.batch import BatchedGridEngine, engine_for
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.rv import NumericRV
 
@@ -216,15 +216,13 @@ def dodin_makespan(
 ) -> NumericRV:
     """Makespan RV via series-parallel reduction (independence fallback).
 
-    Ends the walk on the engine, like :func:`classical_makespan` (a fully
-    reduced network never reaches the engine's sums).
+    A shared ``engine`` must have been built for ``model`` (``ValueError``
+    otherwise).
     """
-    eng = BatchedGridEngine(model) if engine is None else engine
+    eng = engine_for(model, engine)
     g = _activity_network(schedule, model, engine=eng)
     _reduce(g, fast_conv=eng.fast_conv)
     if g.number_of_edges() == 1:
         _, _, data = next(iter(g.edges(data=True)))
         return data["rv"]
-    makespan = _longest_path_rv(g, eng)
-    eng.end_walk()
-    return makespan
+    return _longest_path_rv(g, eng)

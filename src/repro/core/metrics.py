@@ -213,7 +213,8 @@ def evaluate_schedule(
     and sub-expression.  ``fast_conv=True`` opts into the fast grid-algebra
     precision policy (see :mod:`repro.stochastic.rv`); it applies only to
     the grid engines, so other methods raise rather than silently ignore
-    it.  A shared engine must have been built for the same policy.
+    it.  A shared engine must have been built for the same model, policy
+    included: the grid walks raise ``ValueError`` otherwise.
     """
     if fast_conv and method not in ("classical", "dodin"):
         raise ValueError(
@@ -221,12 +222,6 @@ def evaluate_schedule(
         )
     if fast_conv and not model.fast_conv:
         model = model.with_fast_conv()
-    if engine is not None and getattr(engine, "fast_conv", False) != model.fast_conv:
-        raise ValueError(
-            "shared engine was built for a different precision policy "
-            f"(engine.fast_conv={engine.fast_conv!r}, "
-            f"model.fast_conv={model.fast_conv!r})"
-        )
     if method == "classical":
         rv: NumericRV | NormalRV = classical_makespan(
             schedule, model, engine=engine

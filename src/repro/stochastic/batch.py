@@ -22,19 +22,31 @@ operation costs a dozen numpy calls plus object/validation overhead.
 * every N-way maximum of the level is grouped by fine-grid size and
   evaluated as one vectorized CDF product per group — per-operand C
   interpolations folded with one running product, one row-batched
-  gradient, and batched trim/refit/atom accounting;
+  gradient, and batched trim/refit/atom accounting.  A join is planned
+  from all its operands (lower bound ``lo``, upper bound, finest step,
+  fine-grid size) but its product and cell guard read only the *live*
+  ones.  An operand whose support ends at or below ``lo`` is skipped, and
+  that is exact: every fine point and guard edge lies at or above ``lo``,
+  where its CDF reads exactly 1.0 (``np.interp``'s ``right=1.0`` fill past
+  its end, ``cdf_values()[-1] = x/x`` at it), so its factor would be
+  ``f *= 1.0``, which changes no bit.  Its CDF is never built;
 * ``model.rv(duration)`` results are **interned** per engine (durations
-  repeat heavily across tasks and edges), common-step operand resamples
-  are memoized within a walk (only an interned RV's resample at its own
-  step outlives :meth:`BatchedGridEngine.end_walk`, so a shared engine
-  holds one walk's operand grids), and sum/max results are memoized by
-  operand *value*: every operand is first mapped to a content-keyed value
-  id (support endpoints, length, atom and the raw density bytes), so two
-  distinct objects holding equal arrays — e.g. the same sub-expression
-  reached through two schedules of a shared-engine case panel — hit the
-  same memo entry.  The id→vid mapping is cached per object (with the
-  operands kept alive so ids stay valid), making the common case a single
-  dict hit.
+  repeat heavily across tasks and edges); the common-step operand
+  resample of an interned RV at its own step — the one kind that recurs —
+  is memoized, and every other resample is computed and dropped; sum/max
+  results are memoized by operand *value*: every operand is first mapped
+  to a content-keyed value id (support endpoints, length, atom and the
+  raw density bytes), so two distinct objects holding equal arrays — e.g.
+  the same sub-expression reached through two schedules of a
+  shared-engine case panel — hit the same memo entry.  The id→vid
+  mapping is cached per object (with the operands kept alive so ids stay
+  valid), making the common case a single dict hit.
+
+The classical walk feeds the engine a whole panel of schedules at once
+(:func:`repro.analysis.classical.classical_makespans`): one engine call
+per step carries that level of every schedule, which is what fills the
+batched blocks — a single schedule's level rarely reaches
+:data:`_MIN_BATCH` unique jobs.
 
 Precision policy
 ----------------
@@ -68,6 +80,7 @@ unchanged (a pre-change campaign cache loads warm).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,6 +104,7 @@ from repro.stochastic.rv import (
 
 __all__ = [
     "BatchedGridEngine",
+    "engine_for",
     "interp_uniform",
     "interp_lattice",
     "gradient_rows",
@@ -336,27 +350,27 @@ class BatchedGridEngine:
 
     One engine instance serves one (schedule-walk, model) evaluation — or
     several walks over the same model, sharing the duration-RV intern pool
-    and the operation memos.  All results are bit-identical to the per-op
-    :class:`NumericRV` methods (see the module docstring).
+    and the operation memos (the walks check that it was built for their
+    model through :func:`engine_for`).  All results are bit-identical to
+    the per-op :class:`NumericRV` methods (see the module docstring).
     """
 
     def __init__(self, model: StochasticModel):
         self.model = model
         #: Whether the fast precision policy is active (``model.fast_conv``).
-        self.fast_conv = bool(getattr(model, "fast_conv", False))
+        self.fast_conv = model.fast_conv
         self._rv_pool: dict[float, NumericRV] = {}
         self._interned: set[int] = set()  # id() of the _rv_pool members
         self._point_pool: dict[float, NumericRV] = {}
         self._add_memo: dict[tuple[int, int], tuple] = {}
         self._max_memo: dict[tuple[int, ...], tuple] = {}
-        # Operand resamples keyed on (value id, dx, n).  Only an interned
-        # duration RV resampled at its own step recurs across walks; the
-        # keys of every other resample (a finish-time grid at a partner's
-        # fine step, often ~16k points) are listed as they are added and
-        # evicted by end_walk(), so a panel-shared engine holds one walk's
-        # grids, not every walk's.
+        # Operand resamples keyed on (value id, dx, n), kept only for an
+        # interned duration RV at its own step: the one kind that recurs.
+        # Every other resample (a finish-time grid at a partner's fine
+        # step, often ~16k points) missed in 32,139 of 32,139 lookups on
+        # the dense random_n100 panels and 6,637 of 6,687 on two Cholesky
+        # 35 panels, so it is computed and dropped.
         self._resample_memo: dict[tuple[int, float, int], np.ndarray] = {}
-        self._walk_resamples: list[tuple[int, float, int]] = []
         self._resamples = 0
         # Value interning: content signature → value id, with a per-object
         # id cache (operands are kept alive so ids stay valid).
@@ -463,17 +477,20 @@ class BatchedGridEngine:
         return results  # type: ignore[return-value]
 
     def _operand_grid(self, rv: NumericRV, dx: float, n: int) -> np.ndarray:
-        """Operand density resampled onto its ``arange`` conv grid (memoized).
+        """Operand density resampled onto its ``arange`` conv grid.
 
-        The common-step grid depends only on (operand, dx, n), and narrow
-        duration/communication RVs impose their fine step on every partner —
-        so the resample repeats within a walk and is worth caching.  Only an
-        interned RV at its own step is kept past :meth:`end_walk`.
+        The common-step grid depends only on (operand, dx, n).  Narrow
+        duration/communication RVs impose their own fine step on every
+        partner, so an interned RV at its own step recurs across tasks and
+        schedules and is memoized; no other resample is kept (see
+        ``_resample_memo``).
         """
-        key = (self._vid(rv), dx, n)
-        hit = self._resample_memo.get(key)
-        if hit is not None:
-            return hit
+        own = id(rv) in self._interned and dx == rv.xs[1] - rv.xs[0]
+        if own:
+            key = (self._vid(rv), dx, n)
+            hit = self._resample_memo.get(key)
+            if hit is not None:
+                return hit
         # rv.xs[0] + dx·k, built in place (no int arange, no product temp).
         grid = np.arange(n, dtype=float)
         grid *= dx
@@ -481,23 +498,10 @@ class BatchedGridEngine:
         y = _rescue_lost_operand(
             rv.xs, rv.pdf, grid, resample_pdf(rv.xs, rv.pdf, grid)
         )
-        self._resample_memo[key] = y
         self._resamples += 1
-        if id(rv) not in self._interned or dx != rv.xs[1] - rv.xs[0]:
-            self._walk_resamples.append(key)
+        if own:
+            self._resample_memo[key] = y
         return y
-
-    def end_walk(self) -> None:
-        """Evict the walk-local operand resamples (see ``_resample_memo``).
-
-        Called at the end of every schedule walk; costs O(this walk).  The
-        value ids stay mapped and their objects kept: releasing a kept
-        object while its ``id()`` is still mapped would let a recycled id
-        alias a stale value id and return a wrong memo hit.
-        """
-        for key in self._walk_resamples:
-            del self._resample_memo[key]
-        self._walk_resamples.clear()
 
     def _conv_job(self, job: tuple) -> tuple:
         """Plan + convolve one unique sum job (per-op primitives).
@@ -770,7 +774,7 @@ class BatchedGridEngine:
         vectorized CDF products grouped by fine-grid length.
         """
         results: list[NumericRV | None] = [None] * len(groups)
-        # job: (i, key, operands, floor, continuous, lo, hi, grid_n, fine)
+        # job: (i, key, operands, floor, live, lo, hi, grid_n, fine)
         jobs: list[tuple] = []
         pending: dict[tuple[int, ...], int] = {}
         dups: list[tuple[int, tuple[int, ...]]] = []
@@ -815,10 +819,10 @@ class BatchedGridEngine:
         Numpy's own interp/gradient primitives on one fine grid — the
         exact ``max_of`` pipeline minus ``from_pdf`` re-validation.
         """
-        _, _, _, _, continuous, lo, hi, grid_n, fine = job
+        _, _, _, _, live, lo, hi, grid_n, fine = job
         xs = _linspace(lo, hi, fine)
         f = np.ones(fine)
-        for rv in continuous:
+        for rv in live:
             f *= np.interp(xs, rv.xs, rv.cdf_values(), left=0.0, right=1.0)
         pdf = np.maximum(gradient_rows(f[None], xs[None])[0], 0.0)
         atom_mass = float(f[0])
@@ -850,12 +854,16 @@ class BatchedGridEngine:
                     f"cannot normalize PDF with total mass {total!r}"
                 )
             rv = NumericRV(xs_t, pdf_t / total)
-        rv = _max_cell_guard(continuous, rv)
+        rv = _max_cell_guard(live, rv)
         self._store(job[1], job, rv)
         results[job[0]] = rv
 
     def _max_plan(self, rvs: list[NumericRV]):
-        """Scalar planning of ``max_of``: shortcut RV or the grid plan."""
+        """Scalar planning of ``max_of``: shortcut RV or the grid plan.
+
+        The plan carries only the *live* continuous operands, those whose
+        support ends above the join's lower bound ``lo``.
+        """
         floor = -np.inf
         continuous: list[NumericRV] = []
         for rv in rvs:
@@ -878,7 +886,11 @@ class BatchedGridEngine:
         if self.fast_conv and want > cap:
             self._max_capped += 1
         fine = int(min(want, cap))
-        return (floor, continuous, lo, hi, grid_n, fine)
+        # The plan above reads every operand; the product only the live
+        # ones (exact: a skipped factor is 1.0, see the module docstring).
+        # The operand with the largest ``hi`` (> lo here) is always live.
+        live = [rv for rv in continuous if rv.hi > lo]
+        return (floor, live, lo, hi, grid_n, fine)
 
     def _max_fine_group(self, jobs: list, fine: int, results: list) -> None:
         """One fine-grid-length group: shared-grid CDF product → refit."""
@@ -943,8 +955,8 @@ class BatchedGridEngine:
 
         ``value_pool`` counts distinct operand *values* seen by the memos;
         ``resample_memo`` counts the operand resamples computed (monotone:
-        :meth:`end_walk` evictions do not lower it, and a resample computed
-        again after one counts again); ``conv_capped``/``max_capped`` count how often the fast-policy
+        a resample that is not memoized counts each time it is computed);
+        ``conv_capped``/``max_capped`` count how often the fast-policy
         budgets actually bound a plan (always 0 in exact mode), and
         ``fft_convs`` how many convolutions dispatched to the FFT kernel.
         """
@@ -958,3 +970,29 @@ class BatchedGridEngine:
             "max_capped": self._max_capped,
             "fft_convs": self._fft_convs,
         }
+
+
+def engine_for(
+    model: StochasticModel, engine: BatchedGridEngine | None = None
+) -> BatchedGridEngine:
+    """``engine`` once checked against ``model``, or a fresh engine for it.
+
+    A walk reads every duration through ``engine.rv``, i.e. through the
+    engine's own model, so a shared engine built for another model would
+    silently evaluate that model instead.  Raises ``ValueError`` unless
+    ``engine.model == model``.
+    """
+    if engine is None:
+        return BatchedGridEngine(model)
+    if engine.model != model:
+        if replace(engine.model, fast_conv=model.fast_conv) == model:
+            raise ValueError(
+                "shared engine was built for a different precision policy "
+                f"(engine.fast_conv={engine.fast_conv!r}, "
+                f"model.fast_conv={model.fast_conv!r})"
+            )
+        raise ValueError(
+            "shared engine was built for a different model "
+            f"(engine.model={engine.model!r}, model={model!r})"
+        )
+    return engine

@@ -4,7 +4,7 @@ The batched engine (:mod:`repro.stochastic.batch`) must reproduce the
 historical per-task per-op classical walk and the full-rescan Dodin
 reduction *bit-for-bit* — same support grids, same densities, same atom
 metadata — across graph families, schedules, uncertainty levels and grid
-resolutions.  The vectorized numpy replicas it builds on (``interp``,
+resolutions, for single schedules and for lockstep panels of them.  The vectorized numpy replicas it builds on (``interp``,
 ``gradient``, ``linspace``, trapezoid, trim windows) are each fuzzed
 against the numpy primitive they replace.
 """
@@ -20,8 +20,15 @@ from repro.analysis._reference import (
     dodin_makespan_reference,
     dodin_reduce_reference,
 )
-from repro.analysis.classical import classical_makespan, classical_task_finishes
+from repro.analysis.classical import (
+    _walk_panel,
+    classical_makespan,
+    classical_makespans,
+    classical_task_finishes,
+)
 from repro.analysis.dodin import _activity_network, _reduce, dodin_makespan
+from repro.core.metrics import evaluate_schedule, metrics_from_rv
+from repro.core.study import _PANEL_CHUNK, evaluate_case
 from repro.dag.fork_join import fork_join_dag
 from repro.platform import (
     cholesky_workload,
@@ -31,7 +38,7 @@ from repro.platform import (
     workload_for_graph,
 )
 from repro.schedule import ALL_HEURISTICS, heft
-from repro.schedule.random_schedule import random_schedule
+from repro.schedule.random_schedule import random_schedule, random_schedules
 from repro.stochastic import NumericRV, StochasticModel, beta_rv, point_rv
 from repro.stochastic.batch import (
     _LONG_ROW,
@@ -40,6 +47,7 @@ from repro.stochastic.batch import (
     _linspace,
     _linspace_rows,
     _trapz,
+    engine_for,
     gradient_rows,
     interp_lattice,
     interp_uniform,
@@ -153,16 +161,128 @@ class TestClassicalEquivalence:
         assert eng2.stats["value_pool"] >= 2
 
 
-class TestWalkMemory:
-    """A panel-shared engine keeps one walk of operand resamples, not all."""
+class TestPanelWalk:
+    """Lockstep panel walks vs the frozen per-op walk, schedule by schedule."""
+
+    PANEL_WORKLOADS = [
+        ("random", random_workload(30, 4, rng=21)),
+        ("cholesky", cholesky_workload(5, 4, rng=22)),
+    ]
 
     @staticmethod
-    def resample_bytes(engine, vids=None):
-        return sum(
-            y.nbytes
-            for key, y in engine._resample_memo.items()
-            if vids is None or key[0] in vids
+    def panel(w):
+        """Random schedules plus the heuristics: unequal level counts."""
+        schedules = [random_schedule(w, rng=40 + r) for r in range(3)]
+        return schedules + [ALL_HEURISTICS[h](w) for h in ("heft", "bil", "bmct")]
+
+    @pytest.mark.parametrize(
+        "name,w", PANEL_WORKLOADS, ids=[n for n, _ in PANEL_WORKLOADS]
+    )
+    @pytest.mark.parametrize("grid_n", [33, 65, 129])
+    @pytest.mark.parametrize("ul", [1.0, 1.01, 1.1])  # 1.0: point durations
+    def test_panel_matches_reference(self, name, w, ul, grid_n):
+        model = StochasticModel(ul=ul, grid_n=grid_n)
+        schedules = self.panel(w)
+        assert len({s.disjunctive().n_levels for s in schedules}) > 1
+        # Same-processor edges carry no communication: their finishes join
+        # unsummed.
+        assert any((s.edge_min_comm() == 0.0).any() for s in schedules)
+        engine = BatchedGridEngine(model)
+        finishes = _walk_panel(schedules, engine)
+        makespans = classical_makespans(schedules, model, engine=engine)
+        for k, s in enumerate(schedules):
+            ref = classical_task_finishes_reference(s, model)
+            for v, (a, b) in enumerate(zip(finishes[k], ref)):
+                assert_rv_equal(a, b, f"{name} schedule {k} task {v}")
+            assert_rv_equal(
+                makespans[k],
+                classical_makespan_reference(s, model),
+                f"{name} schedule {k}",
+            )
+
+    @pytest.mark.parametrize(
+        "name,w", PANEL_WORKLOADS, ids=[n for n, _ in PANEL_WORKLOADS]
+    )
+    @pytest.mark.parametrize("ul", [1.01, 1.1])
+    def test_fast_policy_panel_matches_walks_alone(self, name, w, ul):
+        # The frozen references are exact-only: compare against panels of one.
+        model = StochasticModel(ul=ul, grid_n=65, fast_conv=True)
+        schedules = self.panel(w)
+        finishes = _walk_panel(schedules, BatchedGridEngine(model))
+        makespans = classical_makespans(schedules, model)
+        for k, s in enumerate(schedules):
+            alone = classical_task_finishes(s, model)
+            for v, (a, b) in enumerate(zip(finishes[k], alone)):
+                assert_rv_equal(a, b, f"{name} schedule {k} task {v}")
+            assert_rv_equal(
+                makespans[k], classical_makespan(s, model), f"{name} schedule {k}"
+            )
+
+    def test_case_longer_than_a_chunk(self):
+        """evaluate_case's chunked panel equals schedule-by-schedule walks."""
+        w = cholesky_workload(3, 3, rng=23)
+        model = StochasticModel(ul=1.1, grid_n=65)
+        n_random = _PANEL_CHUNK + 5
+        result = evaluate_case(w, model, n_random, rng=24)
+        gen = np.random.default_rng(24)
+        schedules = list(random_schedules(w, n_random, gen))
+        schedules += [ALL_HEURISTICS[h](w) for h in ("heft", "bil", "bmct")]
+        want = np.array(
+            [
+                metrics_from_rv(
+                    classical_makespan_reference(s, model), s, model
+                ).as_array()
+                for s in schedules
+            ]
         )
+        assert list(result.panel.labels) == [s.label for s in schedules]
+        assert np.array_equal(result.panel.values, want)
+
+
+class TestEngineModelCheck:
+    """A shared engine built for another model is rejected, not used."""
+
+    BASE = StochasticModel(ul=1.5, grid_n=65)
+    OTHERS = {
+        "ul": StochasticModel(ul=1.1, grid_n=65),
+        "grid_n": StochasticModel(ul=1.5, grid_n=33),
+        "policy": StochasticModel(ul=1.5, grid_n=65, fast_conv=True),
+    }
+    ENTRY_POINTS = {
+        "task_finishes": lambda s, m, e: classical_task_finishes(s, m, engine=e),
+        "makespan": lambda s, m, e: classical_makespan(s, m, engine=e),
+        "makespans": lambda s, m, e: classical_makespans([s, s], m, engine=e),
+        "dodin": lambda s, m, e: dodin_makespan(s, m, engine=e),
+        "evaluate_classical": lambda s, m, e: evaluate_schedule(s, m, engine=e),
+        "evaluate_dodin": lambda s, m, e: evaluate_schedule(
+            s, m, method="dodin", engine=e
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("field", sorted(OTHERS))
+    def test_mismatched_engine_raises(self, entry, field):
+        s = heft(cholesky_workload(3, 3, rng=1))
+        walk = self.ENTRY_POINTS[entry]
+        match = "precision policy" if field == "policy" else "different model"
+        for model, built_for in (
+            (self.BASE, self.OTHERS[field]),
+            (self.OTHERS[field], self.BASE),
+        ):
+            with pytest.raises(ValueError, match=match):
+                walk(s, model, BatchedGridEngine(built_for))
+        # The matching engine is accepted.
+        walk(s, self.BASE, BatchedGridEngine(self.BASE))
+
+    def test_engine_for_reuses_a_matching_engine(self):
+        engine = BatchedGridEngine(self.BASE)
+        assert engine_for(StochasticModel(ul=1.5, grid_n=65), engine) is engine
+        fresh = engine_for(self.BASE)
+        assert fresh is not engine and fresh.model == self.BASE
+
+
+class TestWalkMemory:
+    """A panel-shared engine keeps only the operand resamples that recur."""
 
     @pytest.mark.parametrize(
         "walk,oracle",
@@ -172,28 +292,27 @@ class TestWalkMemory:
         ],
         ids=["classical", "dodin"],
     )
-    def test_retained_resamples_stay_one_walk(self, walk, oracle):
+    def test_memo_holds_only_interned_durations_at_own_step(self, walk, oracle):
         # UL 1.01: narrow communication RVs impose fine common steps, so
         # every walk resamples finish times onto long grids.
         w = random_workload(40, 5, rng=15)
         model = StochasticModel(ul=1.01, grid_n=65)
         engine = BatchedGridEngine(model)
-        retained = []
         for r in range(4):
             s = random_schedule(w, rng=30 + r)
             assert_rv_equal(
                 walk(s, model, engine=engine), oracle(s, model), f"walk {r}"
             )
-            retained.append(self.resample_bytes(engine))
         interned = {
-            engine._value_ids[id(rv)]
+            engine._value_ids[id(rv)]: rv
             for rv in engine._rv_pool.values()
             if id(rv) in engine._value_ids
         }
-        assert retained[-1] <= retained[0] + self.resample_bytes(
-            engine, interned
-        )
-        # The stat counts computed resamples, evicted ones included.
+        assert engine._resample_memo
+        for vid, dx, _ in engine._resample_memo:
+            assert vid in interned
+            assert dx == interned[vid].xs[1] - interned[vid].xs[0]
+        # The stat counts computed resamples, dropped ones included.
         assert engine.stats["resample_memo"] > len(engine._resample_memo)
 
 
@@ -263,6 +382,50 @@ class TestMaxCellGuardEquivalence:
             edge = got.lo + got.dx / 2
             p0 = np.prod([rv.cdf(edge) for rv in rvs if not rv.is_point])
             assert got.pdf[0] * got.dx / 2 == pytest.approx(p0, abs=1e-9)
+
+
+class TestJoinOperandSkip:
+    """Joins never read operands whose support ends at or below ``lo``."""
+
+    @staticmethod
+    def groups(n, floor):
+        # The join's lower bound is lo = 10 + k (the largest operand lower
+        # bound), or the floor 11 + k above it.  Every output grid here
+        # needs the 4·grid_n fine points, so all groups share one fine size.
+        out, skipped = [], []
+        for k in range(n):
+            below = beta_rv(2.0 + k, 6.0 + k, grid_n=65)
+            at = beta_rv(4.0 + k, 10.0 + k, grid_n=65)  # xs[-1] == lo exactly
+            across = beta_rv(8.0 + k, 12.5 + k, grid_n=65)
+            top = beta_rv(10.0 + k, 14.0 + k, grid_n=65)
+            group = [below, across, at, top]
+            if floor:
+                group.insert(2, point_rv(11.0 + k))
+            out.append(group)
+            skipped += [below, at]
+        return out, skipped
+
+    @pytest.mark.parametrize("n", [_MIN_BATCH - 1, _MIN_BATCH], ids=["scalar", "batched"])
+    @pytest.mark.parametrize("floor", [False, True], ids=["plain", "floor"])
+    def test_skipped_operands_are_never_read(self, monkeypatch, n, floor):
+        groups, skipped = self.groups(n, floor)
+        assert all(g[2 + floor].hi == g[-1].lo for g in groups)
+        engine = BatchedGridEngine(StochasticModel(ul=1.1, grid_n=65))
+        batched = []
+        fine_group = BatchedGridEngine._max_fine_group
+
+        def spy(self, jobs, fine, results):
+            batched.append(len(jobs))
+            return fine_group(self, jobs, fine, results)
+
+        monkeypatch.setattr(BatchedGridEngine, "_max_fine_group", spy)
+        got = engine.max_groups(groups)
+        assert batched == ([n] if n >= _MIN_BATCH else [])
+        for rv in skipped:
+            assert rv._cdf is None
+        for k, (rv, rvs) in enumerate(zip(got, groups)):
+            assert_rv_equal(rv, NumericRV.max_of(rvs), f"group {k}")
+            assert (rv.atom > 0.0) == floor
 
 
 class TestLongRowRefit:

@@ -233,25 +233,32 @@ class TestSuiteAggregator:
             SuiteAggregator().finalize()
 
     def test_aggregation_memory_is_constant_in_suite_size(self):
-        """Streaming a mocked large suite must not accumulate panels."""
-        n_cases, n_random = 40, 40_000
-        panel_bytes = n_random * len(METRIC_NAMES) * 8  # ≈ 2.6 MB each
+        """Streaming a mocked suite must not accumulate panels.
 
-        def stream():
+        The fold's tracemalloc peak over 20 cases stays within one panel of
+        its peak over 5; holding every case's panel would add 15 panels
+        (4.8 MB).
+        """
+        n_random = 5_000
+        panel_bytes = n_random * len(METRIC_NAMES) * 8  # 320 kB each
+
+        def fold_peak(n_cases):
+            tracemalloc.start()
+            agg = SuiteAggregator()
             for i in range(n_cases):
-                yield _fake_case_and_result(i, n_random=n_random)
+                agg.add_case(i, *_fake_case_and_result(i, n_random=n_random))
+            aggregate = agg.finalize()
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert aggregate.n_cases == n_cases
+            return peak
 
-        tracemalloc.start()
-        agg = SuiteAggregator()
-        for i, (case, result) in enumerate(stream()):
-            agg.add_case(i, case, result)
-        aggregate = agg.finalize()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert aggregate.n_cases == n_cases
-        # O(1): a few live panels at a time, never the whole suite
-        # (which would be n_cases × panel_bytes ≈ 100 MB).
-        assert peak < 6 * panel_bytes, f"peak {peak/1e6:.1f} MB"
+        small, large = fold_peak(5), fold_peak(20)
+        assert large - small < panel_bytes, (
+            f"peak grew {(large - small) / 1e6:.2f} MB from 5 to 20 cases"
+        )
+        # A few live panels at a time, never the whole suite.
+        assert large < 6 * panel_bytes, f"peak {large / 1e6:.2f} MB"
 
 
 class TestCampaignIterResults:
