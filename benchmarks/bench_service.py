@@ -1,11 +1,16 @@
 """Micro-benchmark: the robustness service's hit path and saturation.
 
-Two rows for ``BENCH_core.json``:
+Three rows for ``BENCH_core.json``:
 
 * ``service_hit`` — sequential warm-hit latency through the full HTTP
   stack (socket, admission gate, indexed cache lookup, canonical-JSON
   render).  The O(1) claim is asserted, not assumed: after the whole
   batch the cache's directory-``scans`` counter must still read zero.
+* ``service_hit_remembered`` — one warm case in process
+  (``handle_case`` plus render), timed as first lookups on a fresh
+  :class:`~repro.campaign.cache.ArtifactCache` (full check and render)
+  and as repeat lookups (remembered result and body).  The bodies must
+  be identical and the repeat hit at least 5× cheaper.
 * ``service_saturation`` — concurrent clients against a deliberately
   tiny admission gate.  Every response must resolve to a structured
   200 or 429 (graceful degradation is the product here); the row
@@ -24,6 +29,7 @@ from contextlib import contextmanager
 
 from benchmarks.conftest import run_once
 from repro.campaign import ArtifactCache, QueueConfig
+from repro.io.json_io import canonical_json
 from repro.service import (
     AdmissionConfig,
     RobustnessService,
@@ -104,6 +110,58 @@ def test_service_hit_latency(
         shape=f"seq_{n}req",
         ns_per_op=per_req * 1e9,
         requests_per_s=n / wall,
+    )
+
+
+def test_service_hit_remembered(
+    benchmark, report, record_bench, bench_quick, tmp_path
+):
+    """In-process hit of one warm case: first lookup vs repeat lookups."""
+    n = 100 if bench_quick else 1000
+    floor = 2.5 if bench_quick else 5.0
+    # A quick-scale Cholesky 35 case (53 panel rows, ~12 KB artifact):
+    # the size of the `serve` workload's warm artifacts.
+    query = {"kind": "cholesky", "param": "5", "ul": "1.1", "base_seed": "7"}
+    case = case_from_query(query)
+    cache_dir = tmp_path / "cache"
+    ArtifactCache(cache_dir).store(case, case.run())
+    service = RobustnessService(
+        ServiceConfig(cache_dir=cache_dir, queue_dir=tmp_path / "queue")
+    )
+
+    def hit() -> bytes:
+        status, _, payload = service.handle_case(query)
+        assert status == 200
+        # what the HTTP skin writes: hit bodies arrive rendered
+        if isinstance(payload, bytes):
+            return payload
+        return canonical_json(payload).encode()
+
+    def first_lookup() -> bytes:
+        service.cache = ArtifactCache(cache_dir)
+        return hit()
+
+    def per_hit(fn) -> tuple[float, bytes]:
+        t0 = time.perf_counter()
+        for _ in range(n):
+            body = fn()
+        return (time.perf_counter() - t0) / n, body
+
+    first_s, first_body = per_hit(first_lookup)
+    repeat_s, repeat_body = run_once(benchmark, per_hit, hit)
+    assert repeat_body == first_body
+    ratio = first_s / repeat_s
+    assert ratio >= floor, f"repeat hit only {ratio:.1f}x cheaper"
+    report(
+        f"service remembered hit: first lookup {first_s * 1e3:.3f} ms, "
+        f"repeat {repeat_s * 1e3:.3f} ms ({ratio:.1f}x), identical bodies"
+    )
+    record_bench(
+        op="service_hit_remembered",
+        shape=f"cholesky_n35_{n}hits",
+        ns_per_op=repeat_s * 1e9,
+        baseline_ns_per_op=first_s * 1e9,
+        ratio=ratio,
     )
 
 

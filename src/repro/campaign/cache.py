@@ -33,8 +33,10 @@ service hit path performs zero directory scans.
 
 Invariants:
 
-* the index never makes a lookup *wrong* — every positive entry is
-  re-validated by reading (and digest-checking) the artifact itself;
+* the index never makes a lookup *wrong* — every lookup reads the
+  artifact itself, and bytes not equal to bytes that already passed the
+  full check (format, case key, result digest) for that key are checked
+  in full (see :class:`LRUMemo`);
 * a torn or concurrent index write is impossible to observe: writers
   replace atomically, and a reader that opened the old inode reads the
   complete old snapshot;
@@ -47,8 +49,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Any, Hashable, Iterator, Sequence
 
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
@@ -60,7 +65,7 @@ from repro.io.json_io import (
     payload_digest,
 )
 
-__all__ = ["ArtifactCache", "CacheAudit", "CacheIndex", "CacheStats"]
+__all__ = ["ArtifactCache", "CacheAudit", "CacheIndex", "CacheStats", "LRUMemo"]
 
 _ENVELOPE_FORMAT = "repro-campaign-v1"
 _INDEX_FORMAT = "repro-cache-index-v1"
@@ -68,6 +73,13 @@ _INDEX_FORMAT = "repro-cache-index-v1"
 #: File name of the persistent cache index (``.index`` suffix keeps it
 #: invisible to the ``*.json`` artifact scans and the ``verify`` audit).
 INDEX_FILENAME = "cache.index"
+
+#: Byte bound of an :class:`ArtifactCache`'s :class:`LRUMemo`.  A
+#: paper-scale artifact (10,003 panel rows) is 1.76 MB of text that
+#: decodes to ~1.24 MB, so the 24 artifacts of a paper-scale fig-6 suite
+#: come to ~62 MB: 64 MiB keeps a whole repeated paper-scale sweep in
+#: memory, while the query service's quick warm sets need well under 1 MB.
+MEMO_BYTES = 64 * 2**20
 
 # The result digest is the repo-wide canonical payload digest.
 _result_digest = payload_digest
@@ -92,6 +104,60 @@ def _parse_envelope(text: str) -> tuple[CampaignCase, CaseResult, str]:
     if _result_digest(envelope["result"]) != envelope["sha256"]:
         raise ValueError("result digest mismatch")
     return case, case_result_from_payload(envelope["result"]), envelope["sha256"]
+
+
+class LRUMemo:
+    """A byte-bounded least-recently-used map, safe across threads.
+
+    :meth:`ArtifactCache.lookup` keeps, per case key, the artifact bytes
+    it last validated in full, the read-only result decoded from them
+    and their result digest; the query service keeps its rendered hit
+    bodies in the same memo, so one bound covers all of them.  Each
+    :meth:`put` states the bytes its value holds; the least recently used
+    entries go until :attr:`nbytes` is back within :attr:`max_bytes` (a
+    value larger than the bound is not kept).  One lock guards every
+    operation, because the service runs each request on its own thread.
+    """
+
+    def __init__(self, max_bytes: int = MEMO_BYTES) -> None:
+        self.max_bytes = max_bytes
+        #: Bytes held by the entries now remembered.
+        self.nbytes = 0
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable) -> Any:
+        """The value remembered under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            held = self._entries.get(key)
+            if held is None:
+                return None
+            self._entries.move_to_end(key)
+            return held[0]
+
+    def put(self, key: Hashable, value: Any, nbytes: int) -> None:
+        """Remember ``value`` under ``key``, evicting the least recent."""
+        with self._lock:
+            self._drop(key)
+            if nbytes > self.max_bytes:
+                return
+            self._entries[key] = (value, nbytes)
+            self.nbytes += nbytes
+            while self.nbytes > self.max_bytes:
+                self._drop(next(iter(self._entries)))
+
+    def forget(self, key: Hashable) -> None:
+        """Drop whatever is remembered under ``key``."""
+        with self._lock:
+            self._drop(key)
+
+    def _drop(self, key: Hashable) -> None:
+        held = self._entries.pop(key, None)
+        if held is not None:
+            self.nbytes -= held[1]
 
 
 @dataclass
@@ -223,6 +289,12 @@ class ArtifactCache:
 
     root: pathlib.Path
     stats: CacheStats = field(default_factory=CacheStats)
+    #: What :meth:`lookup` remembers of the artifacts it validated (the
+    #: query service keeps its rendered hit bodies here too, under the
+    #: same byte bound).
+    memo: LRUMemo = field(
+        default_factory=LRUMemo, init=False, repr=False, compare=False
+    )
     _index_snapshot: "CacheIndex | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -384,25 +456,53 @@ class ArtifactCache:
     def lookup(self, case: CampaignCase) -> CaseResult | None:
         """Index-first O(1) lookup (the service hit path).
 
-        Consults the current index snapshot, then reads the artifact —
-        whose content is re-validated end to end, so a stale or lying
-        index can never produce a wrong answer.  A key the index does
-        not hold falls back to the direct path probe (still O(1), no
-        directory scan) and, when the artifact exists after all, repairs
-        the index entry so the next lookup is index-resolved.  Counters:
+        Consults the current index snapshot, then reads the artifact.
+        Bytes equal to the bytes this cache last validated for the case
+        return the result decoded from them (kept in :attr:`memo`, its
+        arrays read-only); any other bytes get the full check of
+        :meth:`load` and replace what is remembered.  The full check is a
+        pure function of (bytes, case key), so byte-equal content gets
+        the same verdict, and a stale or lying index, a re-store, bit rot
+        or truncation can never produce a wrong answer.  A failed read or
+        check forgets the key.  A key the index does not hold falls back
+        to the direct path probe (still O(1), no directory scan) and,
+        when the artifact exists after all, repairs the index entry so
+        the next lookup is index-resolved.  Counters:
         :attr:`CacheStats.index_hits` vs :attr:`CacheStats.index_fallbacks`.
         """
+        key = case.key
         index = self.current_index()
-        if index is not None and case.key in index.entries:
-            result = self.load(case)
-            if result is not None:
-                self.stats.index_hits += 1
-            return result
-        result = self.load(case)
-        if result is not None:
+        try:
+            data = self.path_for(case).read_bytes()
+        except OSError:
+            self.memo.forget(key)
+            self.stats.misses += 1
+            return None
+        held = self.memo.get(key)
+        if held is None or held[0] != data:
+            try:  # undecodable bytes raise UnicodeDecodeError, a ValueError
+                stored_case, result, digest = _parse_envelope(data.decode())
+                if stored_case.key != key:
+                    raise ValueError("artifact belongs to a different case")
+            except (ValueError, KeyError, TypeError):
+                self.memo.forget(key)
+                self.stats.corrupt += 1
+                self.stats.misses += 1
+                return None
+            # Every later hit on these bytes shares this result.
+            result.panel.values.flags.writeable = False
+            result.pearson.flags.writeable = False
+            held = (data, result, digest)
+            labels = sum(map(sys.getsizeof, result.panel.labels))
+            arrays = result.panel.values.nbytes + result.pearson.nbytes
+            self.memo.put(key, held, len(data) + arrays + labels)
+        self.stats.hits += 1
+        if index is not None and key in index.entries:
+            self.stats.index_hits += 1
+        else:
             self.stats.index_fallbacks += 1
-            self._index_record(case, _result_digest(case_result_to_payload(result)))
-        return result
+            self._index_record(case, held[2])
+        return held[1]
 
     def has(self, case: CampaignCase) -> bool:
         """O(1) presence probe: is an artifact for ``case`` on disk?

@@ -14,13 +14,16 @@ serial figure runners have always used).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 from repro.core.metrics import DEFAULT_DELTA, DEFAULT_GAMMA, Method
 from repro.experiments.cases import CaseSpec, build_workload
 from repro.experiments.scale import Scale, get_scale
 from repro.io.json_io import payload_digest
+from repro.schedule import ALL_HEURISTICS
 from repro.stochastic.model import StochasticModel
 
 __all__ = ["CampaignCase", "expand_suite"]
@@ -132,7 +135,7 @@ class CampaignCase:
             fast_conv=bool(payload.get("fast_conv", False)),
         )
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Content hash of every field — the artifact cache key.
 
@@ -141,9 +144,46 @@ class CampaignCase:
         parameter yields a different artifact and stale cache entries can
         never be confused for current ones.  The shard partitioner keys
         its case → shard assignment off this same hash (see
-        :meth:`shard`).
+        :meth:`shard`).  Computed once per instance: the fields are
+        frozen, and equality, hashing and :meth:`to_dict` read the
+        fields, not this cached value.
         """
         return payload_digest(self.to_dict())
+
+    def check(self) -> None:
+        """Raise :class:`ValueError` unless :meth:`run` can evaluate this case.
+
+        The one validity check of a case built from user input (the
+        service's query parser and the case-set grammar both call it), so
+        a case no worker can run is refused up front instead of failing
+        on the fleet.  It mirrors ``StochasticModel.__post_init__`` and
+        the guards of :func:`~repro.core.study.evaluate_case`.
+        """
+        ul = self.spec.ul
+        if not (math.isfinite(ul) and ul >= 1.0):
+            raise ValueError(f"ul must be finite and >= 1, got {ul}")
+        if self.n_random < 2:
+            raise ValueError(f"n_random must be >= 2, got {self.n_random}")
+        if self.grid_n < 8:
+            raise ValueError(f"grid_n must be >= 8, got {self.grid_n}")
+        unknown = [h for h in self.heuristics if h not in ALL_HEURISTICS]
+        if unknown:
+            raise ValueError(
+                f"unknown heuristic(s) {unknown}; expected a subset of "
+                f"{sorted(ALL_HEURISTICS)}"
+            )
+        if self.fast_conv and self.method not in ("classical", "dodin"):
+            raise ValueError(
+                "fast_conv requires method classical or dodin, "
+                f"got {self.method!r}"
+            )
+        if self.mc_batch and self.method != "montecarlo":
+            raise ValueError(
+                f"mc_batch requires method montecarlo, got {self.method!r}"
+            )
+        for name, value in (("delta", self.delta), ("gamma", self.gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def shard(self, n_shards: int) -> int:
         """Deterministic shard assignment of this case among ``n_shards``.

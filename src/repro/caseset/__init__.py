@@ -1,7 +1,7 @@
 """Case-set algebra: select whole campaign suites with one expression.
 
 ``parse`` turns a ClusterShell-style expression like
-``graph[chol84,ge90] x ul[0.1-0.6/0.1] x seed[0-9]`` into an ordered,
+``graph[chol84,ge90] x ul[1.1-1.6/0.1] x seed[0-9]`` into an ordered,
 deduplicated :class:`CaseSet` of campaign cases; ``fold`` compacts any
 case set back to its canonical spelling; union / intersection /
 difference make "what's missing from the cache" itself a set

@@ -1,8 +1,8 @@
 """Lexical layer of the case-set algebra: text ↔ terms, values ↔ ranges.
 
 This module knows nothing about campaign cases — it turns an expression
-string like ``graph[chol84,ge90] x ul[0.1-0.6/0.1] ! graph[ge90] x
-ul[0.1]`` into a sequence of ``(set-op, {axis: [value, ...]})`` raw
+string like ``graph[chol84,ge90] x ul[1.1-1.6/0.1] ! graph[ge90] x
+ul[1.1]`` into a sequence of ``(set-op, {axis: [value, ...]})`` raw
 terms, and folds plain value lists back into the compact range syntax
 (``0-9``, ``0-8/2``, ``0.1-0.6/0.1``) the way ClusterShell's
 ``RangeSet`` folds node ranges.  The semantic layer

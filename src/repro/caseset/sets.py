@@ -3,7 +3,7 @@
 A case-set expression selects whole suites with one line, ClusterShell
 ``NodeSet``-style::
 
-    graph[chol84,ge90] x ul[0.1-0.6/0.1] x seed[0-9] x heuristic[heft,cpop]
+    graph[chol84,ge90] x ul[1.1-1.6/0.1] x seed[0-9] x heuristic[heft,cpop]
 
 Product axes (``graph``, ``ul``, ``seed``, ``method``) multiply into
 cases; modifier axes (``heuristic`` — the per-case panel — plus
@@ -197,12 +197,14 @@ class CaseEntry:
 
         Population sizes default from the profile's scale per graph
         size, identically to ``case_from_query`` — parsing drift here
-        would change artifact keys and silently miss the cache.
+        would change artifact keys and silently miss the cache.  A case
+        no worker could run (:meth:`CampaignCase.check`) raises
+        :class:`CaseSetError`.
         """
         spec = CaseSpec(self.graph.kind, self.graph.param, self.ul, self.seed)
         p = self.profile
         scale = get_scale(p.scale)
-        return CampaignCase(
+        case = CampaignCase(
             spec=spec,
             base_seed=p.base_seed,
             n_random=(
@@ -223,6 +225,11 @@ class CaseEntry:
             mc_batch=p.mc_batch,
             fast_conv=p.fast_conv,
         )
+        try:
+            case.check()
+        except ValueError as exc:
+            raise CaseSetError(str(exc)) from None
+        return case
 
 
 # ---------------------------------------------------------------------- #

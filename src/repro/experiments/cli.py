@@ -123,7 +123,7 @@ Case-set sweeps
 cache does not already hold::
 
     repro-experiments campaign sweep \\
-        'graph[chol84,ge90] x ul[0.1-0.6/0.1] x seed[0-9]' \\
+        'graph[chol84,ge90] x ul[1.1-1.6/0.1] x seed[0-9]' \\
         --cache-dir cache/ --jobs 4 --json sweep.json
 
 ``--fold`` prints the canonical compact form, ``--expand`` lists the
@@ -563,7 +563,7 @@ def _campaign_main(argv: list[str]) -> int:
     p_sweep.add_argument(
         "expr",
         help="case-set expression, e.g. "
-        "'graph[chol84,ge90] x ul[0.1-0.6/0.1] x seed[0-9]'",
+        "'graph[chol84,ge90] x ul[1.1-1.6/0.1] x seed[0-9]'",
     )
     p_sweep.add_argument(
         "--cache-dir",

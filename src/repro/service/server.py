@@ -27,7 +27,8 @@ direct :func:`~repro.core.study.evaluate_case` output — both paths go
 through the same canonical artifact serialization, and the service never
 synthesizes or mutates result content.  Responses are rendered with
 :func:`~repro.io.json_io.canonical_json`, so equal results are equal
-bytes on the wire.
+bytes on the wire; a hit body is rendered once per result the cache
+remembers and then served as those bytes.
 
 Degradation ladder (every rung structured, none hangs): 400 bad query →
 429 shed with ``Retry-After`` → 503 backend unavailable → 504 deadline
@@ -226,11 +227,13 @@ class RobustnessService:
 
     def handle_case(
         self, params: Mapping[str, str]
-    ) -> tuple[int, dict[str, str], dict]:
+    ) -> tuple[int, dict[str, str], dict | bytes]:
         """Serve one ``/case`` query; returns (status, headers, payload).
 
         Implements the full lifecycle: parse → admit → indexed lookup →
         miss dispatch → poll; every exit is a structured JSON payload.
+        A hit's payload comes already rendered, as canonical-JSON bytes
+        (see :meth:`_hit_body`); every other payload is a dict.
         """
         self._count(requests=1)
         try:
@@ -253,7 +256,9 @@ class RobustnessService:
                 },
             )
 
-    def _serve_case(self, case: CampaignCase) -> tuple[int, dict[str, str], dict]:
+    def _serve_case(
+        self, case: CampaignCase
+    ) -> tuple[int, dict[str, str], dict | bytes]:
         """Admitted path: indexed lookup, then the miss state machine."""
         deadline = time.monotonic() + self.config.deadline_seconds
         if self.injector is not None:
@@ -262,7 +267,7 @@ class RobustnessService:
         result = None if self.config.force else self.cache.lookup(case)
         if result is not None:
             self._count(hits=1)
-            return 200, {}, self._ok_payload(case, result, "hit")
+            return 200, {}, self._hit_body(case, result)
         self._count(misses=1)
 
         try:
@@ -322,6 +327,24 @@ class RobustnessService:
             "source": source,
             "result": case_result_to_payload(result),
         }
+
+    def _hit_body(self, case: CampaignCase, result: Any) -> bytes:
+        """The rendered hit body, rendered once per remembered result.
+
+        Kept in the cache's memo (one byte bound with the artifact bytes
+        and results it remembers) under the case key, and served again
+        only while :meth:`ArtifactCache.lookup` returns the very object
+        it was rendered from: a re-validated artifact decodes to a new
+        object, so it is rendered again.  The entry holds that object,
+        so its identity cannot pass to another result.
+        """
+        slot = ("hit-body", case.key)
+        held = self.cache.memo.get(slot)
+        if held is not None and held[0] is result:
+            return held[1]
+        body = canonical_json(self._ok_payload(case, result, "hit")).encode()
+        self.cache.memo.put(slot, (result, body), len(body))
+        return body
 
     def _enqueue_with_retry(self, case: CampaignCase, deadline: float) -> str:
         """Enqueue a miss, retrying transient queue errors with backoff."""
@@ -743,10 +766,14 @@ class _Handler(BaseHTTPRequestHandler):
             stream.close()
 
     def _reply(
-        self, status: int, headers: dict[str, str], payload: dict
+        self, status: int, headers: dict[str, str], payload: dict | bytes
     ) -> None:
-        """Send one canonical-JSON response."""
-        body = canonical_json(payload).encode()
+        """Send one canonical-JSON response (rendered bytes go as they are)."""
+        body = (
+            payload
+            if isinstance(payload, bytes)
+            else canonical_json(payload).encode()
+        )
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

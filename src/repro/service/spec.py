@@ -98,7 +98,8 @@ def case_from_query(params: Mapping[str, str]) -> CampaignCase:
     mirror :class:`CampaignCase` fields; population sizes default from
     ``scale`` (quick/default/paper, as the campaign CLI does) and can be
     overridden individually.  Unknown parameters are a loud error so that
-    a typo cannot silently select a different (valid) case.
+    a typo cannot silently select a different (valid) case, and a case no
+    worker could run (:meth:`CampaignCase.check`) is refused too.
     """
     unknown = sorted(set(params) - _KNOWN_PARAMS)
     if unknown:
@@ -141,7 +142,7 @@ def case_from_query(params: Mapping[str, str]) -> CampaignCase:
         if not heuristics:
             raise CaseSpecError("heuristics must name at least one heuristic")
 
-    return CampaignCase(
+    case = CampaignCase(
         spec=spec,
         base_seed=_as_int("base_seed", params.get("base_seed", "20070913")),
         n_random=_as_int(
@@ -172,3 +173,8 @@ def case_from_query(params: Mapping[str, str]) -> CampaignCase:
         mc_batch=mc_batch,
         fast_conv=_as_bool("fast_conv", params.get("fast_conv", "0")),
     )
+    try:
+        case.check()
+    except ValueError as exc:
+        raise CaseSpecError(str(exc)) from None
+    return case

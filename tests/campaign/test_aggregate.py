@@ -65,6 +65,7 @@ def assert_fig6_results_identical(a, b, compare_panels=False):
 
 
 class TestFig6Streaming:
+    @pytest.mark.fleet
     def test_memory_stream_and_cache_aggregate_bit_identical(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         mem = fig6_aggregate.run(TINY, specs=SPECS, jobs=2, cache=cache)
@@ -267,6 +268,7 @@ class TestCampaignIterResults:
             CampaignCase(spec=s, base_seed=99, n_random=8, grid_n=65) for s in SPECS
         ]
 
+    @pytest.mark.fleet
     def test_iter_results_yields_every_case_once(self):
         cases = self._cases()
         campaign = Campaign(cases, jobs=2)

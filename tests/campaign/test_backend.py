@@ -91,7 +91,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize(
         "backend_factory",
         [
-            lambda: ProcessPoolBackend(2),
+            pytest.param(lambda: ProcessPoolBackend(2), marks=pytest.mark.fleet),
             lambda: QueueBackend(jobs=1),
         ],
         ids=["process", "queue"],
@@ -103,6 +103,7 @@ class TestBackendEquivalence:
             assert np.array_equal(a.panel.values, b.panel.values)
             assert np.array_equal(a.pearson, b.pearson, equal_nan=True)
 
+    @pytest.mark.fleet
     def test_jobs_kwarg_still_works(self, reference):
         results = Campaign(_cases(), jobs=2).run()
         for a, b in zip(reference, results):
@@ -118,6 +119,7 @@ class TestBackendEquivalence:
 
 
 class TestBackendStatsReporting:
+    @pytest.mark.fleet
     def test_summary_reports_backend_workers_and_cache_counts(self, tmp_path):
         from repro.campaign import ArtifactCache
 
@@ -146,6 +148,7 @@ class TestBackendStatsReporting:
 
 
 class TestBackendMap:
+    @pytest.mark.fleet
     def test_serial_and_pool_map_preserve_order(self):
         items = list(range(7))
         expect = [str(i) for i in items]
@@ -155,6 +158,7 @@ class TestBackendMap:
     def test_map_empty(self):
         assert ProcessPoolBackend(4).map(str, []) == []
 
+    @pytest.mark.fleet
     def test_fig9_accepts_a_backend(self):
         from repro.experiments import fig9_slack_quadrants
 

@@ -71,6 +71,7 @@ class TestConcurrentStores:
     N_WRITERS = 4
     REPEATS = 20
 
+    @pytest.mark.fleet
     def test_racing_writers_never_corrupt_the_artifact(
         self, tmp_path, case
     ):
@@ -117,6 +118,7 @@ class TestConcurrentStores:
         assert loaded is not None
         assert case_result_to_json(loaded) == case_result_to_json(reference)
 
+    @pytest.mark.fleet
     def test_reader_racing_writers_sees_only_complete_snapshots(
         self, tmp_path, case
     ):

@@ -7,12 +7,17 @@ stale index degrades to a direct probe and self-repairs, generations
 only grow, and ``verify`` cross-checks index ↔ directory both ways.
 """
 
+import dataclasses
+import os
+import pickle
+
 import pytest
 
 from repro.campaign import ArtifactCache, CacheIndex, CampaignCase
-from repro.campaign.cache import INDEX_FILENAME
+from repro.campaign.cache import INDEX_FILENAME, MEMO_BYTES, LRUMemo
 from repro.experiments.cases import CaseSpec
 from repro.experiments.cli import main
+from repro.io.json_io import payload_digest
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +220,139 @@ class TestVerifyCacheCli:
         assert all(p.name != INDEX_FILENAME for p, _ in audit.corrupt)
         names = [c.name for _, c, _ in warm.iter_results()]
         assert names == [case.name]
+
+
+class TestLookupMemo:
+    """Repeat lookups of unchanged bytes return what the full check decoded."""
+
+    def test_repeat_lookup_returns_the_remembered_read_only_result(
+        self, warm, case
+    ):
+        reader = ArtifactCache(warm.root)
+        first = reader.lookup(case)
+        assert reader.lookup(case) is first
+        assert not first.panel.values.flags.writeable
+        assert not first.pearson.flags.writeable
+        with pytest.raises(ValueError):
+            first.panel.values[0, 0] = 0.0
+        # a remembered hit still counts as an index-resolved hit
+        assert reader.stats.hits == reader.stats.index_hits == 2
+        assert reader.stats.scans == 0
+
+    def test_restored_result_replaces_the_remembered_one(
+        self, warm, case, result
+    ):
+        reader = ArtifactCache(warm.root)
+        first = reader.lookup(case)
+        warm.store(case, dataclasses.replace(result, name="restored"))
+        again = reader.lookup(case)
+        assert again is not first
+        assert again.name == "restored"
+
+    def test_flipped_byte_under_same_size_and_mtime_is_a_miss(
+        self, warm, case
+    ):
+        reader = ArtifactCache(warm.root)
+        assert reader.lookup(case) is not None
+        path = warm.path_for(case)
+        before = path.stat()
+        data = bytearray(path.read_bytes())
+        at = data.index(b'"values": [[') + len(b'"values": [[')
+        while not chr(data[at]).isdigit():
+            at += 1
+        data[at] = ord("1") if data[at] != ord("1") else ord("2")
+        path.write_bytes(bytes(data))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+            before.st_size,
+            before.st_mtime_ns,
+            before.st_ino,
+        )
+        assert reader.lookup(case) is None
+        assert reader.stats.corrupt == 1
+        assert len(reader.memo) == 0
+
+    def test_undecodable_bytes_are_corrupt_not_an_error(self, warm, case):
+        path = warm.path_for(case)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] = 0xFF  # never valid in UTF-8
+        path.write_bytes(bytes(data))
+        reader = ArtifactCache(warm.root)
+        assert reader.lookup(case) is None
+        assert reader.stats.corrupt == 1
+
+    def test_deleted_artifact_is_a_miss(self, warm, case):
+        reader = ArtifactCache(warm.root)
+        assert reader.lookup(case) is not None
+        warm.path_for(case).unlink()
+        assert reader.lookup(case) is None
+        assert reader.stats.misses == 1
+        assert len(reader.memo) == 0 and reader.memo.nbytes == 0
+
+    def test_fallback_repairs_the_index_with_the_checked_digest(
+        self, warm, case
+    ):
+        digest = warm.read_index().entries[case.key]["sha256"]
+        reader = ArtifactCache(warm.root)
+        assert reader.lookup(case) is not None
+        warm.index_path.unlink()
+        assert reader.lookup(case) is not None  # remembered, then repaired
+        assert reader.stats.index_fallbacks == 1
+        assert warm.read_index().entries[case.key]["sha256"] == digest
+
+    def test_remembering_past_the_bound_evicts_the_least_recent(
+        self, tmp_path, case, result
+    ):
+        cases = [dataclasses.replace(case, base_seed=s) for s in (1, 2, 3)]
+        writer = ArtifactCache(tmp_path / "c")
+        for c in cases:
+            writer.store(c, result)
+        probe = ArtifactCache(writer.root)
+        probe.lookup(cases[0])
+        one = probe.memo.nbytes
+        reader = ArtifactCache(writer.root)
+        reader.memo = LRUMemo(max_bytes=one * 5 // 2)
+        firsts = [reader.lookup(c) for c in cases]
+        assert len(reader.memo) == 2
+        assert reader.memo.nbytes <= reader.memo.max_bytes
+        assert reader.lookup(cases[2]) is firsts[2]
+        assert reader.lookup(cases[0]) is not firsts[0]  # was evicted
+        assert reader.lookup(cases[1]) is not firsts[1]  # evicted by case 0
+
+    def test_remembered_bytes_never_exceed_the_constant(self):
+        memo = LRUMemo()
+        assert memo.max_bytes == MEMO_BYTES
+        for i in range(10):
+            memo.put(i, object(), MEMO_BYTES // 3 + 1)
+            assert memo.nbytes <= MEMO_BYTES
+        assert len(memo) == 2
+        memo.put("too big", object(), MEMO_BYTES + 1)
+        assert memo.get("too big") is None
+        assert memo.nbytes <= MEMO_BYTES
+
+    def test_load_and_iter_results_remember_nothing(
+        self, tmp_path, case, result
+    ):
+        cases = [dataclasses.replace(case, base_seed=s) for s in (1, 2, 3)]
+        cache = ArtifactCache(tmp_path / "c")
+        for c in cases:
+            cache.store(c, result)
+        assert all(cache.load(c) is not None for c in cases)
+        assert len(list(cache.iter_results(cases))) == 3
+        assert len(list(cache.iter_results())) == 3
+        assert len(cache.memo) == 0 and cache.memo.nbytes == 0
+
+
+class TestCaseKey:
+    def test_key_is_the_digest_of_the_fields_however_built(self, case):
+        fresh = CampaignCase(spec=case.spec, base_seed=7, n_random=5)
+        unkeyed = pickle.loads(pickle.dumps(fresh))
+        assert case.key  # computed, so the pickle carries it
+        keyed = pickle.loads(pickle.dumps(case))
+        replaced = dataclasses.replace(case, n_random=6)
+        rebuilt = CampaignCase.from_dict(replaced.to_dict())
+        for c in (fresh, unkeyed, keyed, replaced, rebuilt):
+            assert c.key == payload_digest(c.to_dict())
+        assert replaced.key != case.key
+        assert keyed == case and hash(keyed) == hash(case)

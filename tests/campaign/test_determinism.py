@@ -70,10 +70,12 @@ class TestCampaignDeterminism:
         cases = _cases()
         assert_results_equal(Campaign(cases, jobs=1).run(), _direct_results(cases))
 
+    @pytest.mark.fleet
     def test_jobs4_matches_direct_evaluate_case(self):
         cases = _cases()
         assert_results_equal(Campaign(cases, jobs=4).run(), _direct_results(cases))
 
+    @pytest.mark.fleet
     def test_cache_warm_rerun_matches_direct_evaluate_case(self, tmp_path):
         cases = _cases()
         cache = ArtifactCache(tmp_path / "artifacts")
@@ -86,6 +88,7 @@ class TestCampaignDeterminism:
         assert_results_equal(cold, direct)
         assert_results_equal(warm, direct)
 
+    @pytest.mark.fleet
     def test_repeated_runs_identical(self):
         cases = _cases()
         assert_results_equal(Campaign(cases, jobs=2).run(), Campaign(cases, jobs=3).run())

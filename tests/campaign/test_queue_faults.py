@@ -91,6 +91,7 @@ def _assert_identity(queue, cache_dir, truth):
 
 
 class TestInjectedFaults:
+    @pytest.mark.fleet
     def test_worker_killed_mid_shard_requeues_and_matches_serial(
         self, tmp_path, serial_truth
     ):
@@ -108,6 +109,7 @@ class TestInjectedFaults:
         assert queue.status().failed_attempts >= 1
         _assert_identity(queue, cache_dir, serial_truth)
 
+    @pytest.mark.fleet
     def test_dropped_partial_is_redispatched_and_matches_serial(
         self, tmp_path, serial_truth
     ):
@@ -182,6 +184,7 @@ class TestInjectedFaults:
         assert report.completed == len(queue.task_ids())
         _assert_identity(queue, cache_dir, serial_truth)
 
+    @pytest.mark.fleet
     def test_claim_race_exactly_one_winner(self, tmp_path):
         # Two real subprocess workers released simultaneously (a shared
         # start barrier) onto a single-task queue: the O_EXCL claim file
@@ -209,6 +212,7 @@ class TestInjectedFaults:
 
 
 class TestCoordinatorUnderFaults:
+    @pytest.mark.fleet
     def test_backend_fleet_survives_injected_kill(
         self, tmp_path, serial_truth, monkeypatch
     ):
@@ -281,6 +285,7 @@ def _wait_for_claim(queue: WorkQueue, timeout: float = 60.0) -> str:
     raise AssertionError("worker never claimed a task")
 
 
+@pytest.mark.fleet
 class TestWorkerSignals:
     """SIGTERM drains: finish-or-release, never tombstone, never hang.
 

@@ -66,6 +66,7 @@ def serial_truth(tmp_path_factory):
     }
 
 
+@pytest.mark.fleet
 @pytest.mark.parametrize("seed,n_workers,n_shards", SCHEDULES)
 def test_random_kill_schedule_preserves_identity(
     tmp_path, serial_truth, seed, n_workers, n_shards

@@ -21,6 +21,7 @@ def _cases(n=3):
 
 
 class TestCampaignPolicy:
+    @pytest.mark.fleet
     def test_results_in_case_order(self):
         cases = _cases()
         results = Campaign(cases, jobs=2).run()
@@ -65,6 +66,7 @@ class TestCampaignPolicy:
         assert cache.path_for(cases[0]).stat().st_mtime_ns >= mtime
         assert np.array_equal(again.panel.values, first.panel.values)
 
+    @pytest.mark.fleet
     def test_parallel_run_populates_cache(self, tmp_path):
         cases = _cases()
         cache = ArtifactCache(tmp_path)
@@ -84,6 +86,7 @@ class TestCampaignPolicy:
         campaign.run()
         assert "1 computed" in campaign.stats.summary()
 
+    @pytest.mark.fleet
     def test_worker_failure_propagates_and_keeps_finished_artifacts(
         self, tmp_path
     ):

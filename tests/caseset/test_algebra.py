@@ -31,8 +31,8 @@ from repro.service.spec import case_from_query
 CORPUS = [
     "graph[chol10] x ul[1.1]",
     "graph[rand10,rand30] x ul[1.01,1.1] x seed[0-2]",
-    # the ISSUE's flagship expression
-    "heuristic[heft,cpop] x ul[0.1-0.6/0.1] x graph[chol84,ge90] x seed[0-9]",
+    # the flagship expression of the docs
+    "heuristic[heft,cpop] x ul[1.1-1.6/0.1] x graph[chol84,ge90] x seed[0-9]",
     "graph[ge9] x ul[1.1] x seed[0-8/2]",
     "graph[chol10] x ul[1.1] x method[classical,dodin]",
     "graph[chol10] x ul[1.1] x method[montecarlo] x mc_batch[1]",
@@ -65,9 +65,9 @@ class TestRoundTrip:
 
     def test_spelling_variants_share_one_canonical_form(self):
         """Order/spelling of values never changes the folded form."""
-        a = parse("graph[chol84,ge90] x ul[0.1-0.6/0.1] x seed[0-9]")
+        a = parse("graph[chol84,ge90] x ul[1.1-1.6/0.1] x seed[0-9]")
         b = parse(
-            "graph[ge90,chol84] x ul[0.6,0.5,0.4,0.3,0.2,0.1] "
+            "graph[ge90,chol84] x ul[1.6,1.5,1.4,1.3,1.2,1.1] "
             "x seed[0,1,2,3,4,5,6,7,8,9]"
         )
         assert a.fold() == b.fold()
@@ -219,6 +219,12 @@ MALFORMED = [
     ("graph[chol84] x ul[1.1] x mc_realizations[0]", ">= 1"),
     ("graph[chol84] x ul[1.1] x fast_conv[maybe]", "boolean"),
     ("graph[chol84] x ul[1.1] x mc_batch[1]", "montecarlo"),
+    # cases no worker can run (CampaignCase.check)
+    ("graph[chol84] x ul[0.5]", "ul must be finite and >= 1"),
+    ("graph[chol84] x ul[1.1] x n_random[1]", "n_random must be >= 2"),
+    ("graph[chol84] x ul[1.1] x grid_n[4]", "grid_n must be >= 8"),
+    ("graph[chol84] x ul[1.1] x method[spelde] x fast_conv[1]", "fast_conv"),
+    ("graph[chol84] x ul[1.1] x delta[nan]", "delta must be finite"),
     ("graph[chol84] x ul[1.1],", "empty term"),
 ]
 

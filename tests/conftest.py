@@ -15,6 +15,15 @@ from repro.dag import TaskGraph
 from repro.stochastic import StochasticModel
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    """Register the ``fleet`` marker: ``pytest -m "not fleet"`` is the core pass."""
+    config.addinivalue_line(
+        "markers",
+        "fleet: starts OS processes (process pools, queue-worker fleets, "
+        "CLI subprocesses)",
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic generator for tests."""

@@ -89,6 +89,7 @@ class TestCampaignFlags:
         assert main(["fig3", "--resume"]) == 0
         assert "1 hits" in capsys.readouterr().out
 
+    @pytest.mark.fleet
     def test_fig9_accepts_jobs(self, capsys):
         assert main(["fig9", "--jobs", "2"]) == 0
         assert "Fig. 9" in capsys.readouterr().out

@@ -16,7 +16,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tests.campaign.faultlib import fault_env
+
+pytestmark = pytest.mark.fleet  # a fresh interpreter per run
 
 #: Modules a classical-method campaign run must not load (each costs
 #: ~0.1–0.8 s to import).

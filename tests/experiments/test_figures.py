@@ -144,6 +144,7 @@ class TestFig9:
         ):
             assert abs(median - mean) < 4 * std
 
+    @pytest.mark.fleet
     def test_parallel_identical_to_serial(self):
         # Each quadrant samples from its own spawned child stream, so the
         # process fan-out cannot change the numbers.

@@ -16,7 +16,9 @@ startup tax); the CLI drain test at the bottom spawns the real ``serve``
 process and SIGTERMs it.
 """
 
+import dataclasses
 import http.client
+import itertools
 import json
 import re
 import signal
@@ -203,6 +205,102 @@ class TestHitPath:
         assert statistics.median(latencies) < 0.020
 
 
+class TestRememberedHits:
+    """A hit body is rendered once per remembered result, never stale."""
+
+    def test_hit_body_is_the_fresh_rendering(
+        self, tmp_path, hit_case, hit_result
+    ):
+        config = _config(tmp_path)
+        ArtifactCache(config.cache_dir).store(hit_case, hit_result)
+        with serving(config) as service:
+            loaded = ArtifactCache(config.cache_dir).load(hit_case)
+            expected = canonical_json(
+                service._ok_payload(hit_case, loaded, "hit")
+            ).encode()
+            for _ in range(3):
+                status, headers, raw = get_raw(service, f"/case?{qs(HIT)}")
+                assert status == 200
+                assert raw == expected
+                assert headers["Content-Length"] == str(len(expected))
+            assert service.cache.stats.index_hits == 3
+
+    def test_restored_result_is_served_on_the_next_hit(
+        self, tmp_path, hit_case, hit_result
+    ):
+        config = _config(tmp_path)
+        writer = ArtifactCache(config.cache_dir)
+        writer.store(hit_case, hit_result)
+        restored = dataclasses.replace(hit_result, name="restored")
+        with serving(config) as service:
+            assert get(service, f"/case?{qs(HIT)}")[0] == 200
+            writer.store(hit_case, restored)
+            status, _, raw = get_raw(service, f"/case?{qs(HIT)}")
+            assert status == 200
+            assert raw == canonical_json(
+                service._ok_payload(hit_case, restored, "hit")
+            ).encode()
+
+    def test_threads_see_only_valid_renderings_while_a_key_is_restored(
+        self, tmp_path, hit_result
+    ):
+        queries = [{**HIT, "base_seed": str(s)} for s in (7, 8, 9)]
+        cases = [case_from_query(q) for q in queries]
+        config = _config(tmp_path, admission=AdmissionConfig(max_inflight=16))
+        writer = ArtifactCache(config.cache_dir)
+        for case in cases:
+            writer.store(case, hit_result)
+        restored = dataclasses.replace(hit_result, name="restored")
+        service = RobustnessService(config)
+
+        def rendering(case, result) -> bytes:
+            return canonical_json(service._ok_payload(case, result, "hit")).encode()
+
+        valid = [{rendering(case, hit_result)} for case in cases]
+        valid[0].add(rendering(cases[0], restored))
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def restore() -> None:
+            for result in itertools.cycle([restored, hit_result]):
+                if stop.is_set():
+                    return
+                writer.store(cases[0], result)
+                time.sleep(0.001)
+
+        def client(offset: int) -> None:
+            try:
+                for i in range(200):
+                    k = (offset + i) % len(cases)
+                    status, _, body = service.handle_case(queries[k])
+                    assert status == 200
+                    assert body in valid[k]
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        restorer = threading.Thread(target=restore)
+        clients = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            restorer.start()
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=120.0)
+            stop.set()
+            restorer.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [restorer, *clients])
+        assert errors == []
+        assert service.stats.hits == 8 * 200
+        memo = service.cache.memo
+        # a lost update to the byte count would break this sum
+        assert memo.nbytes == sum(size for _, size in memo._entries.values())
+        assert memo.nbytes <= memo.max_bytes
+
+
 class TestErrorSurface:
     def test_bad_query_is_a_structured_400(self, tmp_path):
         with serving(_config(tmp_path)) as service:
@@ -217,6 +315,29 @@ class TestErrorSurface:
             status, _, body = get(service, f"/case?{qs(HIT)}&gridn=65")
             assert status == 400
             assert "gridn" in body["detail"]
+
+    def test_cases_no_worker_can_run_are_400s_and_never_enqueued(
+        self, tmp_path
+    ):
+        unrunnable = [
+            {"ul": "0.5"},
+            {"ul": "nan"},
+            {"ul": "inf"},
+            {"n_random": "1"},
+            {"grid_n": "4"},
+            {"heuristics": "nope"},
+            {"method": "spelde", "fast_conv": "1"},
+            {"delta": "nan"},
+        ]
+        config = _config(tmp_path, deadline_seconds=0.5)
+        with serving(config) as service:
+            for override in unrunnable:
+                status, _, body = get(service, f"/case?{qs({**HIT, **override})}")
+                assert status == 400, override
+                assert body["error"] == "bad-request"
+            assert service.queue.task_ids() == []
+            assert service.stats.bad_requests == len(unrunnable)
+            assert service.stats.misses == 0
 
     def test_unknown_route_is_a_404(self, tmp_path):
         with serving(_config(tmp_path)) as service:
@@ -394,6 +515,7 @@ class TestOps:
 
 
 class TestCliDrain:
+    @pytest.mark.fleet
     def test_sigterm_drains_gracefully(self, tmp_path, hit_case, hit_result):
         """The real `serve` process: serve a hit, SIGTERM, exit 0 clean."""
         cache_dir = tmp_path / "cache"

@@ -226,6 +226,7 @@ class TestColdSweep:
 
 
 class TestSweepFaults:
+    @pytest.mark.fleet
     def test_sweep_survives_a_worker_kill_byte_identically(self, tmp_path):
         """kill-worker mid-sweep: the redispatched task lands, bytes hold."""
         cs = caseset()
