@@ -3,8 +3,8 @@
 Runs a small case suite once into an artifact cache, then re-derives the
 Figure 6 report two ways from the warm cache:
 
-* **in-memory** — ``fig6_aggregate.run`` retaining every raw
-  :class:`CaseResult` panel (the historical behaviour);
+* **in-memory** — ``Campaign(...).run()``, which returns every raw
+  :class:`CaseResult` panel, folded once all of them are held;
 * **streaming** — ``aggregate_from_cache``, folding one artifact at a time
   through the :class:`~repro.campaign.aggregate.SuiteAggregator`.
 
@@ -20,7 +20,13 @@ import tracemalloc
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.campaign import ArtifactCache, CampaignCase, SuiteAggregator
+from repro.campaign import (
+    ArtifactCache,
+    Campaign,
+    CampaignCase,
+    SuiteAggregator,
+    expand_suite,
+)
 from repro.core.metrics import METRIC_NAMES
 from repro.core.panel import MetricPanel
 from repro.core.study import CaseResult
@@ -56,14 +62,18 @@ def test_streaming_vs_inmemory_fig6_aggregation(benchmark, report, tmp_path):
     cache = ArtifactCache(tmp_path / "artifacts")
 
     t0 = time.perf_counter()
-    fig6_aggregate.run(scale, specs=specs, jobs=2, cache=cache, stream=True)
+    fig6_aggregate.run(scale, specs=specs, jobs=2, cache=cache)
     compute_s = time.perf_counter() - t0
 
-    in_memory, mem_s, mem_peak = _traced(
-        lambda: fig6_aggregate.run(
-            scale, specs=specs, cache=cache, keep_case_results=True
-        )
-    )
+    def in_memory_fold():
+        cases = expand_suite(specs, scale)
+        results = Campaign(cases, cache=cache).run()  # every panel held
+        aggregator = SuiteAggregator()
+        for index, (case, result) in enumerate(zip(cases, results)):
+            aggregator.add_case(index, case, result)
+        return aggregator.finalize()
+
+    in_memory, mem_s, mem_peak = _traced(in_memory_fold)
     streamed = run_once(
         benchmark,
         lambda: fig6_aggregate.aggregate_from_cache(scale, specs=specs, cache=cache),
@@ -81,7 +91,7 @@ def test_streaming_vs_inmemory_fig6_aggregation(benchmark, report, tmp_path):
 
     assert np.array_equal(in_memory.mean, streamed.mean, equal_nan=True)
     assert np.array_equal(in_memory.std, streamed.std, equal_nan=True)
-    assert in_memory.rel_over_m_vs_std_mean == streamed.rel_over_m_vs_std_mean
+    assert in_memory.rel_mean == streamed.rel_over_m_vs_std_mean
 
 
 def test_streaming_memory_is_flat_on_mocked_large_suite(report):

@@ -29,12 +29,7 @@ from repro.analysis.montecarlo import (
     sample_makespans_batch,
 )
 from repro.analysis.distance import cm_distance, ks_distance
-from repro.analysis.streaming import (
-    MomentAccumulator,
-    P2Quantile,
-    PearsonAccumulator,
-    PearsonMatrixAccumulator,
-)
+from repro.analysis.streaming import MomentAccumulator, P2Quantile
 
 __all__ = [
     "classical_makespan",
@@ -46,7 +41,5 @@ __all__ = [
     "ks_distance",
     "cm_distance",
     "MomentAccumulator",
-    "PearsonAccumulator",
-    "PearsonMatrixAccumulator",
     "P2Quantile",
 ]

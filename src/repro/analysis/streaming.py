@@ -1,46 +1,27 @@
 """Numerically stable one-pass (streaming) statistic accumulators.
 
 The campaign layer produces per-case artifacts one at a time — from worker
-processes as they finish, or from an artifact-cache scan — and the paper's
-summary statistics (Figure 6's element-wise mean/σ of Pearson matrices, the
-§VII derived correlation) are all expressible as *accumulable* reductions.
-This module provides the reduction primitives:
+processes as they finish, or read back from the artifact cache — and the
+paper's summary statistics (Figure 6's element-wise mean/σ of Pearson
+matrices, the §VII derived correlation) are all expressible as
+*accumulable* reductions.  This module provides the reduction primitives:
 
 * :class:`MomentAccumulator` — element-wise mean/variance over a stream of
   equally-shaped arrays (Welford's update), skipping non-finite entries per
   element exactly like ``np.nanmean``/``np.nanstd``;
-* :class:`PearsonAccumulator` — a single correlation coefficient from a
-  stream of ``(x, y)`` observations (pairwise co-moment updates);
-* :class:`PearsonMatrixAccumulator` — a full ``d × d`` Pearson matrix from
-  a stream of ``d``-dimensional rows (co-moment matrix updates), with the
-  same complete-row NaN policy as :meth:`MetricPanel.pearson`;
 * :class:`P2Quantile` — the Jain & Chlamtac P² estimator: any quantile of
   an unbounded stream in O(1) memory, without storing samples.
 
-Every moment-based accumulator supports :meth:`merge` (Chan et al.'s
-parallel combination formulas) so per-worker partial aggregates combine
-into the same statistic.  Merging is *deterministic* for a fixed merge
-order but is a different floating-point summation order than a single
-sequential fold, so merged and sequential results agree to ~1e-12 relative,
-not bit-for-bit (the property-test suite pins this bound).  Campaign code
-that needs the repo's bit-identical ``jobs=1``/``jobs=N`` guarantee
-therefore folds contributions through *one* accumulator in a fixed case
-order (see :class:`repro.campaign.aggregate.SuiteAggregator`) and reserves
-:meth:`merge` for explicitly partitioned aggregations.
+Campaign code keeps the repo's bit-identical ``jobs=1``/``jobs=N``
+guarantee by folding contributions through *one* accumulator in a fixed
+case order (see :class:`repro.campaign.aggregate.SuiteAggregator`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.correlation import pearson_from_moments
-
-__all__ = [
-    "MomentAccumulator",
-    "PearsonAccumulator",
-    "PearsonMatrixAccumulator",
-    "P2Quantile",
-]
+__all__ = ["MomentAccumulator", "P2Quantile"]
 
 
 class MomentAccumulator:
@@ -79,40 +60,6 @@ class MomentAccumulator:
         delta2 = np.where(ok, x - self._mean, 0.0)
         self._m2 = self._m2 + delta * delta2
 
-    def add_batch(self, xs: np.ndarray) -> None:
-        """Fold a batch of observations stacked along the first axis.
-
-        Equivalent to calling :meth:`add` for every ``xs[i]`` but with the
-        batch's moments computed vectorized and folded in one Chan merge —
-        the preferred way to stream long scalar series (``shape=()``)
-        chunk-wise, e.g. Monte-Carlo makespan realizations.
-        """
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim < 1 or xs.shape[1:] != self.shape:
-            raise ValueError(f"expected (k, {self.shape}) observations, got {xs.shape}")
-        ok = np.isfinite(xs)
-        count = ok.sum(axis=0).astype(float)
-        safe = np.where(count > 0, count, 1.0)
-        mean = np.where(ok, xs, 0.0).sum(axis=0) / safe
-        m2 = (np.where(ok, xs - mean, 0.0) ** 2).sum(axis=0)
-        self._merge_moments(count, mean, m2)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        """Fold another accumulator in (Chan et al. parallel combination)."""
-        if other.shape != self.shape:
-            raise ValueError(f"cannot merge shape {other.shape} into {self.shape}")
-        self._merge_moments(other._count, other._mean, other._m2)
-
-    def _merge_moments(
-        self, count: np.ndarray, mean: np.ndarray, m2: np.ndarray
-    ) -> None:
-        n = self._count + count
-        safe = np.where(n > 0, n, 1.0)
-        delta = mean - self._mean
-        self._mean = self._mean + delta * (count / safe)
-        self._m2 = self._m2 + m2 + delta * delta * (self._count * count / safe)
-        self._count = n
-
     @property
     def count(self) -> np.ndarray:
         """Per-element number of finite observations folded so far."""
@@ -144,156 +91,6 @@ class MomentAccumulator:
         return float(np.sqrt(v)) if self.shape == () else np.sqrt(v)
 
 
-class PearsonAccumulator:
-    """Streaming Pearson correlation of an ``(x, y)`` observation stream.
-
-    Maintains the counts, means and centered co-moments (Σ(x−x̄)²,
-    Σ(y−ȳ)², Σ(x−x̄)(y−ȳ)) incrementally; :attr:`corr` applies the same
-    guards as :func:`repro.core.correlation.pearson` (NaN for < 2 points or
-    a numerically constant series, result clipped to [−1, 1]).
-
-    Observations where either coordinate is non-finite are dropped as a
-    *pair*, matching what ``pearson()`` would see after filtering.
-    :meth:`add` accepts scalars or equal-length 1-D chunks, so a long
-    series can be folded chunk-wise without materializing it.
-    """
-
-    __slots__ = ("_n", "_mean_x", "_mean_y", "_m2x", "_m2y", "_cxy")
-
-    def __init__(self) -> None:
-        self._n = 0.0
-        self._mean_x = 0.0
-        self._mean_y = 0.0
-        self._m2x = 0.0
-        self._m2y = 0.0
-        self._cxy = 0.0
-
-    def add(self, x: np.ndarray | float, y: np.ndarray | float) -> None:
-        """Fold one observation or one chunk of observations."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("x and y must be equal-length 1-D chunks (or scalars)")
-        ok = np.isfinite(x) & np.isfinite(y)
-        x, y = x[ok], y[ok]
-        k = float(len(x))
-        if k == 0:
-            return
-        bx = float(x.mean())
-        by = float(y.mean())
-        xc = x - bx
-        yc = y - by
-        self._merge_moments(
-            k, bx, by, float((xc * xc).sum()), float((yc * yc).sum()),
-            float((xc * yc).sum()),
-        )
-
-    def merge(self, other: "PearsonAccumulator") -> None:
-        """Fold another accumulator in (co-moment combination formulas)."""
-        self._merge_moments(
-            other._n, other._mean_x, other._mean_y, other._m2x, other._m2y,
-            other._cxy,
-        )
-
-    def _merge_moments(
-        self, k: float, bx: float, by: float, m2x: float, m2y: float, cxy: float
-    ) -> None:
-        n = self._n + k
-        if n == 0:
-            return
-        dx = bx - self._mean_x
-        dy = by - self._mean_y
-        w = self._n * k / n
-        self._mean_x += dx * (k / n)
-        self._mean_y += dy * (k / n)
-        self._m2x += m2x + dx * dx * w
-        self._m2y += m2y + dy * dy * w
-        self._cxy += cxy + dx * dy * w
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        """Number of (finite) observation pairs folded so far."""
-        return int(self._n)
-
-    @property
-    def corr(self) -> float:
-        """Current Pearson coefficient (NaN-guarded, clipped to [−1, 1])."""
-        if self._n < 2:
-            return float("nan")
-        return pearson_from_moments(self._m2x, self._m2y, self._cxy)
-
-
-class PearsonMatrixAccumulator:
-    """Streaming ``d × d`` Pearson matrix over a stream of ``d``-dim rows.
-
-    The per-row policy mirrors :meth:`repro.core.panel.MetricPanel.pearson`:
-    any row containing a non-finite entry is dropped *entirely* before the
-    co-moment update (complete-row deletion), so streaming a panel row by
-    row reproduces the batch matrix.  :meth:`add` accepts a single row or a
-    ``(k, d)`` chunk of rows.
-    """
-
-    __slots__ = ("d", "_n", "_mean", "_com")
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError(f"need at least one dimension, got {d}")
-        self.d = int(d)
-        self._n = 0.0
-        self._mean = np.zeros(self.d)
-        self._com = np.zeros((self.d, self.d))
-
-    def add(self, rows: np.ndarray) -> None:
-        """Fold one row or a chunk of rows (complete-row NaN deletion)."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2 or rows.shape[1] != self.d:
-            raise ValueError(f"expected (k, {self.d}) rows, got {rows.shape}")
-        rows = rows[np.all(np.isfinite(rows), axis=1)]
-        k = float(rows.shape[0])
-        if k == 0:
-            return
-        bmean = rows.mean(axis=0)
-        centered = rows - bmean
-        self._merge_moments(k, bmean, centered.T @ centered)
-
-    def merge(self, other: "PearsonMatrixAccumulator") -> None:
-        """Fold another accumulator in (co-moment matrix combination)."""
-        if other.d != self.d:
-            raise ValueError(f"cannot merge d={other.d} into d={self.d}")
-        self._merge_moments(other._n, other._mean, other._com)
-
-    def _merge_moments(self, k: float, bmean: np.ndarray, com: np.ndarray) -> None:
-        n = self._n + k
-        if n == 0:
-            return
-        delta = bmean - self._mean
-        self._mean = self._mean + delta * (k / n)
-        self._com = self._com + com + np.outer(delta, delta) * (self._n * k / n)
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        """Number of complete (all-finite) rows folded so far."""
-        return int(self._n)
-
-    def matrix(self) -> np.ndarray:
-        """Current Pearson matrix (diagonal 1, NaN where undefined)."""
-        out = np.eye(self.d)
-        if self._n < 2:
-            out[~np.eye(self.d, dtype=bool)] = np.nan
-            return out
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                r = pearson_from_moments(
-                    self._com[i, i], self._com[j, j], self._com[i, j]
-                )
-                out[i, j] = out[j, i] = r
-        return out
-
-
 class P2Quantile:
     """Jain & Chlamtac's P² streaming quantile estimator.
 
@@ -301,10 +98,6 @@ class P2Quantile:
     stream with piecewise-parabolic adjustment — O(1) memory, no stored
     samples.  Until five observations have arrived the exact empirical
     quantile of the buffered values is returned.
-
-    P² has no exact parallel combination, so this accumulator intentionally
-    offers no ``merge()``; partition-parallel quantile summaries should use
-    per-partition estimators and report them side by side.
     """
 
     __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "_n")

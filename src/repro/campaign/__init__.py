@@ -30,7 +30,6 @@ from repro.campaign.backend import (
 from repro.campaign.cache import (
     ArtifactCache,
     CacheAudit,
-    CacheIndex,
     CacheStats,
 )
 from repro.campaign.queue import (
@@ -60,7 +59,6 @@ __all__ = [
     "ArtifactCache",
     "BACKEND_NAMES",
     "CacheAudit",
-    "CacheIndex",
     "CacheStats",
     "Campaign",
     "CampaignCase",

@@ -19,12 +19,6 @@ regardless of arrival order, holding out-of-order contributions in a
 small reorder buffer (each is an 8×8 matrix plus a few scalars — panels
 are reduced to contributions *before* buffering).  Because the fold order
 is fixed, every execution mode produces bit-identical mean/σ matrices.
-
-:meth:`SuiteAggregator.merge` combines per-worker partial aggregates via
-the accumulators' Chan-style ``merge()`` — deterministic for a fixed
-partition and merge order, and equal to the sequential fold to ~1e-12
-(floating-point summation order differs), which is why the in-process
-campaign path folds through a single aggregator instead.
 """
 
 from __future__ import annotations
@@ -222,9 +216,8 @@ class SuiteAggregator:
     the worker count in practice), keeping memory O(1) in the suite size.
 
     With ``ordered=False`` contributions fold immediately in arrival order
-    — for per-worker partial aggregates whose local order is already
-    canonical (e.g. a shard scanning its cases sequentially); combine the
-    partials with :meth:`merge`.
+    — for streams whose order is already canonical but may have holes
+    (e.g. a cache read in case order, skipping missing artifacts).
     """
 
     def __init__(self, ordered: bool = True):
@@ -269,32 +262,6 @@ class SuiteAggregator:
         self._case_rows.append((c.name, c.makespan_p50, c.makespan_p95))
         self._indices.add(c.index)
         self._n_cases += 1
-
-    def merge(self, other: "SuiteAggregator") -> None:
-        """Fold a partial aggregate in (Chan-merge of the accumulators).
-
-        Both aggregators must be fully drained (no reorder-buffered
-        contributions) and must cover **disjoint** case sets — shards that
-        accidentally overlap (the same case key dispatched twice) raise a
-        :class:`ValueError` naming the duplicated indices instead of
-        silently double-counting.  Heuristic rows are concatenated in
-        merge order.  Merging an empty aggregator (in either direction) is
-        a no-op on the statistics.
-        """
-        if self._pending or other._pending:
-            raise ValueError("cannot merge aggregators with undrained contributions")
-        overlap = self._indices & other._indices
-        if overlap:
-            raise ValueError(
-                "cannot merge partial aggregates with overlapping cases: "
-                f"duplicate case indices {sorted(overlap)}"
-            )
-        self.matrix.merge(other.matrix)
-        self.rel.merge(other.rel)
-        self._rows.extend(other._rows)
-        self._case_rows.extend(other._case_rows)
-        self._indices |= other._indices
-        self._n_cases += other._n_cases
 
     # ------------------------------------------------------------------ #
     # results

@@ -764,9 +764,6 @@ class FaultSpec:
     * ``slow-cache-read:S`` — sleep ``S`` seconds before every cache
       lookup the service performs (not one-shot; exercises per-request
       timeouts);
-    * ``torn-index`` — truncate the cache index file in place right
-      before the service refreshes its snapshot (the reader must degrade
-      to a scan + rebuild, never error);
     * ``backend-hang:S`` — sleep ``S`` seconds inside the first miss
       enqueue (exercises the request deadline / retry path);
     * ``shed-storm:N`` — force the admission gate to shed the next ``N``
@@ -789,7 +786,6 @@ class FaultSpec:
         "corrupt-claim",
         "sleep-case",
         "slow-cache-read",
-        "torn-index",
         "backend-hang",
         "shed-storm",
     )
@@ -902,25 +898,6 @@ class FaultInjector:
         for spec in self.specs:
             if spec.kind == "slow-cache-read" and spec.seconds > 0:
                 time.sleep(spec.seconds)
-
-    def on_index_refresh(self, index_path: pathlib.Path) -> None:
-        """Seam: the service is about to refresh its cache-index snapshot.
-
-        ``torn-index`` truncates the index file *in place* (deliberately
-        not atomic — it simulates external corruption our own writers can
-        never produce); the reader must degrade to a scan + rebuild.
-        """
-        for spec in self.specs:
-            if spec.kind == "torn-index" and self._fire_once(spec):
-                try:
-                    data = index_path.read_bytes()
-                    # Deliberately in-place truncation: simulates external
-                    # corruption, must NOT be atomic.
-                    index_path.write_bytes(  # reprolint: ignore[RL001]
-                        data[: max(1, len(data) // 2)]
-                    )
-                except OSError:
-                    pass
 
     def on_enqueue(self) -> None:
         """Seam: the service is about to enqueue a cache miss."""

@@ -32,8 +32,6 @@ bit-identity across every execution mode.  Contributions are O(1)-sized
 re-folding them in suite order reproduces the single-process fold
 *operation for operation* — so ``shard → worker × N → merge`` is
 bit-identical to ``Campaign.run()`` on one machine, which CI asserts.
-(:meth:`SuiteAggregator.merge` remains available for explicitly
-partitioned approximate aggregations.)
 
 The queue protocol (:mod:`repro.campaign.queue`) is built from the same
 pieces: ``campaign queue-init`` writes these manifests as task records,
@@ -132,11 +130,6 @@ class ShardManifest:
     def filename(self) -> str:
         """Canonical manifest file name."""
         return f"shard-{self.shard_index:03d}-of-{self.n_shards:03d}.json"
-
-    @property
-    def partial_filename(self) -> str:
-        """Canonical name of the partial this shard's worker emits."""
-        return f"partial-{self.shard_index:03d}-of-{self.n_shards:03d}.json"
 
     def to_payload(self) -> dict:
         """JSON-compatible dict (inverse of :meth:`from_payload`)."""

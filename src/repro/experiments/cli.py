@@ -36,11 +36,6 @@ apply to it.)
     Recompute every case even when a valid artifact exists, overwriting
     the artifacts.
 
-``--stream``
-    Fold fig6's per-case results into the streaming aggregator and drop
-    each panel immediately — O(1) memory in the number of cases, same
-    numbers bit-for-bit.
-
 Example — a paper-scale sweep that survives interruptions::
 
     repro-experiments fig6 --scale paper --jobs 8 --resume
@@ -111,7 +106,7 @@ queue directory (see :mod:`repro.service`)::
     repro-experiments serve --cache-dir cache/ --workers 2 --port 8080
     curl 'http://127.0.0.1:8080/case?kind=cholesky&param=7&ul=1.1'
 
-Cache hits answer in O(1) via the persistent cache index; misses are
+Cache hits answer in O(1) from the case's artifact path; misses are
 enqueued as single-case tasks and computed by the worker fleet within a
 per-request deadline.  Overload sheds with 429 + ``Retry-After``;
 ``/healthz`` and ``/stats`` expose liveness and counters.
@@ -298,12 +293,6 @@ def main(argv: list[str] | None = None) -> int:
         help="recompute cases even when a valid cached artifact exists",
     )
     parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="fig6: stream per-case results through the aggregator "
-        "(O(1) memory, bit-identical report)",
-    )
-    parser.add_argument(
         "--fast-conv",
         action="store_true",
         help="campaign figures: opt the grid engines into the fast "
@@ -382,16 +371,14 @@ def main(argv: list[str] | None = None) -> int:
             # Snapshot the shared cache counters so the line printed after
             # this figure shows its own hits/stores, not the running total.
             before = replace(cache.stats) if cache is not None else None
-            kwargs = {
-                "jobs": args.jobs,
-                "cache": cache,
-                "force": args.force,
-                "backend": backend,
-                "fast_conv": args.fast_conv,
-            }
-            if name == "fig6":
-                kwargs["stream"] = args.stream
-            result = runners[name](scale, **kwargs)
+            result = runners[name](
+                scale,
+                jobs=args.jobs,
+                cache=cache,
+                force=args.force,
+                backend=backend,
+                fast_conv=args.fast_conv,
+            )
         elif name == "fig9":
             result = runners[name](scale, jobs=args.jobs, backend=backend)
         else:
@@ -623,13 +610,6 @@ def _campaign_main(argv: list[str]) -> int:
         action="store_true",
         help="audit against the fast-precision-policy variant of the suite",
     )
-    p_verify.add_argument(
-        "--rebuild-index",
-        action="store_true",
-        help="rebuild the cache index by scan when the audit finds it "
-        "stale or incomplete (the index is advisory: lookups stay "
-        "correct either way)",
-    )
 
     args = parser.parse_args(argv)
 
@@ -848,16 +828,6 @@ def _campaign_main(argv: list[str]) -> int:
         print(f"  orphan:  {path.name} ({reason})")
     for path in audit.stale_temp:
         print(f"  stale:   {path.name}")
-    for key, reason in audit.index_stale:
-        print(f"  index-stale: {key[:12]} ({reason})")
-    for path in audit.unindexed:
-        print(f"  unindexed: {path.name}")
-    if not audit.index_consistent and args.rebuild_index:
-        index = cache.rebuild_index()
-        print(
-            f"[index rebuilt: generation {index.generation}, "
-            f"{len(index.entries)} entries]"
-        )
     return 0 if audit.ok else 1
 
 

@@ -13,8 +13,7 @@ Both the campaign runner (:func:`run`) and the cache summarizer
 (:func:`aggregate_from_cache`) reduce case results through the same
 streaming :class:`~repro.campaign.aggregate.SuiteAggregator` in the same
 case order, so their matrices and §VII statistic are **bit-identical** —
-and neither ever holds more than one case panel in memory unless raw
-panels are explicitly requested.
+and neither ever holds more than one case panel in memory.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.campaign import (
     SuiteAggregator,
     expand_suite,
 )
-from repro.core.study import CaseResult
 from repro.experiments.cases import CaseSpec, default_suite
 from repro.experiments.scale import Scale, get_scale
 from repro.core.metrics import METRIC_NAMES
@@ -45,9 +43,7 @@ __all__ = ["Fig6Result", "run", "aggregate_from_cache"]
 class Fig6Result:
     """Aggregated Pearson statistics over the case suite.
 
-    ``case_results`` is ``None`` in streaming mode (the default for cache
-    aggregation, opt-in via ``keep_case_results`` for :func:`run`): the
-    summary statistics are folded case by case and the raw panels are
+    The summary statistics are folded case by case and the raw panels are
     dropped, so memory stays O(1) in the suite size.  ``n_cases`` counts
     the cases actually aggregated — it can be smaller than ``len(specs)``
     when summarizing the cache of an interrupted sweep, in which case the
@@ -61,7 +57,6 @@ class Fig6Result:
     rel_over_m_vs_std_std: float
     n_cases: int
     heuristic_rows: tuple[tuple[str, str, float, float, float, float], ...]
-    case_results: tuple[CaseResult, ...] | None = None
     case_rows: tuple[tuple[str, float, float], ...] = ()
 
     def render(self) -> str:
@@ -110,8 +105,7 @@ class Fig6Result:
         The ROADMAP follow-up column — the median and 95th percentile of
         each case's random-schedule expected makespans, estimated by the
         O(1)-memory :class:`~repro.analysis.streaming.P2Quantile` during
-        aggregation, so it is available in streaming and cache-aggregation
-        modes alike (no panels required).
+        aggregation (no panels required).
         """
         rows = [
             (name, f"{p50:.1f}", f"{p95:.1f}") for name, p50, p95 in self.case_rows
@@ -121,8 +115,8 @@ class Fig6Result:
     def heuristic_summary(self) -> str:
         """How often each heuristic beats the random population (per case).
 
-        Computed from the per-case summary rows folded during aggregation,
-        so it is available in streaming mode too (no panels required).
+        Computed from the per-case summary rows folded during aggregation
+        (no panels required).
         """
         return format_table(
             ["case", "heuristic", "makespan", "frac rand better (M)",
@@ -132,9 +126,7 @@ class Fig6Result:
 
 
 def _result_from_aggregate(
-    specs: list[CaseSpec],
-    aggregator: SuiteAggregator,
-    case_results: tuple[CaseResult, ...] | None,
+    specs: list[CaseSpec], aggregator: SuiteAggregator
 ) -> Fig6Result:
     agg = aggregator.finalize()
     return Fig6Result(
@@ -145,7 +137,6 @@ def _result_from_aggregate(
         rel_over_m_vs_std_std=agg.rel_std,
         n_cases=agg.n_cases,
         heuristic_rows=agg.heuristic_rows,
-        case_results=case_results,
         case_rows=agg.case_rows,
     )
 
@@ -157,8 +148,6 @@ def run(
     jobs: int = 1,
     cache: ArtifactCache | None = None,
     force: bool = False,
-    stream: bool = False,
-    keep_case_results: bool | None = None,
     backend: ExecutionBackend | None = None,
     fast_conv: bool = False,
 ) -> Fig6Result:
@@ -172,12 +161,9 @@ def run(
     completed cases are reused across runs.  Results are consumed from the
     runner's as-completed stream and folded into a
     :class:`~repro.campaign.aggregate.SuiteAggregator` in case order, so
-    the aggregate does not depend on completion order.
-
-    With ``stream=True`` the raw :class:`CaseResult` panels are dropped as
-    soon as each case is folded — O(1) memory in the suite size.
-    ``keep_case_results`` overrides the retention default (``not stream``)
-    for tests and post-hoc analyses that need the raw panels.
+    the aggregate does not depend on completion order; each raw
+    :class:`~repro.core.study.CaseResult` is dropped as soon as it is
+    folded — O(1) memory in the suite size.
 
     ``fast_conv=True`` runs the suite under the fast grid-algebra
     precision policy (classical/Dodin only); its cases hash to different
@@ -193,17 +179,10 @@ def run(
         force=force,
         backend=backend,
     )
-    keep = (not stream) if keep_case_results is None else keep_case_results
     aggregator = SuiteAggregator()
-    kept: dict[int, CaseResult] = {}
     for index, case, result in campaign.iter_results():
         aggregator.add_case(index, case, result)
-        if keep:
-            kept[index] = result
-    case_results = (
-        tuple(kept[i] for i in range(len(specs))) if keep else None
-    )
-    return _result_from_aggregate(specs, aggregator, case_results)
+    return _result_from_aggregate(specs, aggregator)
 
 
 def aggregate_from_cache(
@@ -250,4 +229,4 @@ def aggregate_from_cache(
             f"no artifacts of this suite (scale={scale.name}, seed={seed}) "
             f"found in {cache.root}"
         )
-    return _result_from_aggregate(specs, aggregator, None)
+    return _result_from_aggregate(specs, aggregator)

@@ -1,9 +1,9 @@
 """Atomic file writes: the one blessed tmp + ``os.replace`` sink.
 
-Every durable artifact in this repo — cache envelopes, the cache index,
-shard manifests, partials, poison reports — must reach disk through
-:func:`write_atomic` so a killed writer can never leave a truncated file
-under the final name.  POSIX ``rename(2)`` is atomic within a
+Every durable artifact in this repo — cache envelopes, shard manifests,
+partials, poison reports — must reach disk through :func:`write_atomic`
+so a killed writer can never leave a truncated file under the final
+name.  POSIX ``rename(2)`` is atomic within a
 filesystem, so readers observe either the old bytes or the new bytes,
 never a torn mix; the queue and service layers depend on that to stay
 crash-consistent under the fault-injection harness.

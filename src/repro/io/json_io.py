@@ -184,16 +184,23 @@ def case_result_from_payload(payload: dict[str, Any]) -> CaseResult:
     Raises :class:`ValueError`/:class:`KeyError`/:class:`TypeError` on a
     malformed payload (the cache layer treats those as misses).
     """
-    if payload.get("format") != _FORMAT or payload.get("kind") != "case_result":
+    if (
+        not isinstance(payload, dict)
+        or payload.get("format") != _FORMAT
+        or payload.get("kind") != "case_result"
+    ):
         raise ValueError("not a case_result payload")
     panel_payload = payload["panel"]
     panel = MetricPanel(
         np.asarray(panel_payload["values"], dtype=float),
         tuple(str(label) for label in panel_payload["labels"]),
     )
+    heuristics = payload["heuristics"]
+    if not isinstance(heuristics, dict):
+        raise TypeError("heuristics must map names to metric rows")
     heuristic_metrics = {
         str(name): RobustnessMetrics(**dict(zip(METRIC_NAMES, map(float, row))))
-        for name, row in payload["heuristics"].items()
+        for name, row in heuristics.items()
     }
     return CaseResult(
         name=str(payload["name"]),

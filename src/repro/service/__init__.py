@@ -2,11 +2,12 @@
 
 ``repro serve`` (CLI) → :func:`~repro.service.server.serve` runs a
 long-lived, stdlib-only query service that answers case queries from the
-artifact cache in O(1) via its persistent index, dispatches misses onto
-the campaign work-queue fleet, and degrades gracefully (structured 4xx /
-5xx, never a hang or a torn response) under overload and injected
-faults.  See ``docs/architecture.md`` for the request lifecycle, the
-degradation ladder, and the index invariants.
+artifact cache in O(1) (one read of the case's artifact path),
+dispatches misses onto the campaign work-queue fleet, and degrades
+gracefully (structured 4xx / 5xx, never a hang or a torn response) under
+overload and injected faults.  See ``docs/architecture.md`` for the
+request lifecycle, the degradation ladder, and the point-lookup
+invariants.
 """
 
 from repro.service.admission import AdmissionConfig, AdmissionGate, ShedError

@@ -2,17 +2,17 @@
 
 A long-lived, stdlib-only (:class:`http.server.ThreadingHTTPServer`)
 query service over the campaign stack: ``GET /case?...`` answers from the
-:class:`~repro.campaign.cache.ArtifactCache` in O(1) via the persistent
-cache index, enqueues misses onto the :class:`~repro.campaign.queue`
-fleet as single-case tasks, and degrades — never corrupts — under every
-failure mode the stack can produce.
+:class:`~repro.campaign.cache.ArtifactCache` in O(1) (one read of the
+case's artifact path), enqueues misses onto the
+:class:`~repro.campaign.queue` fleet as single-case tasks, and degrades —
+never corrupts — under every failure mode the stack can produce.
 
 Request lifecycle (the state machine ``docs/architecture.md`` draws)::
 
     parse ──400──▶ rejected (bad query)
       │ admission gate ──429──▶ shed (Retry-After)
       ▼
-    cache lookup (index-first, O(1)) ──hit──▶ 200 (source=hit)
+    cache lookup (one path read, O(1)) ──hit──▶ 200 (source=hit)
       │ miss
       ▼
     enqueue case task (retry w/ backoff) ──retries exhausted──▶ 503
@@ -33,8 +33,8 @@ remembers and then served as those bytes.
 Degradation ladder (every rung structured, none hangs): 400 bad query →
 429 shed with ``Retry-After`` → 503 backend unavailable → 504 deadline
 (the work keeps cooking) → 502 poisoned (the work is known-bad).  A
-corrupt or torn cache index never surfaces at all: the cache degrades to
-a directory probe/scan and rebuilds the index in the background.
+corrupt artifact never surfaces at all: the cache counts it as a miss
+and the fleet recomputes it.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ class RobustnessService:
     ) -> tuple[int, dict[str, str], dict | bytes]:
         """Serve one ``/case`` query; returns (status, headers, payload).
 
-        Implements the full lifecycle: parse → admit → indexed lookup →
+        Implements the full lifecycle: parse → admit → cache lookup →
         miss dispatch → poll; every exit is a structured JSON payload.
         A hit's payload comes already rendered, as canonical-JSON bytes
         (see :meth:`_hit_body`); every other payload is a dict.
@@ -259,11 +259,10 @@ class RobustnessService:
     def _serve_case(
         self, case: CampaignCase
     ) -> tuple[int, dict[str, str], dict | bytes]:
-        """Admitted path: indexed lookup, then the miss state machine."""
+        """Admitted path: cache lookup, then the miss state machine."""
         deadline = time.monotonic() + self.config.deadline_seconds
         if self.injector is not None:
             self.injector.on_cache_read()
-            self.injector.on_index_refresh(self.cache.index_path)
         result = None if self.config.force else self.cache.lookup(case)
         if result is not None:
             self._count(hits=1)
@@ -412,13 +411,14 @@ class RobustnessService:
     ) -> "Iterator[tuple[str, dict]]":
         """Yield the sweep's event sequence: start → update* → done|error.
 
-        The warm/cold split probes the cache index (O(1) per case, zero
-        directory scans); the cold subset is enqueued on the fleet, then
-        the loop folds artifacts into a :class:`SuiteAggregator` in
-        strict case order — each ``update`` aggregates exactly the
-        expansion prefix ``[0, done)``, so successive updates fold
-        strict supersets (monotone by construction) and the final
-        ``done`` aggregate performs the identical fold-op sequence as
+        The warm/cold split probes each case's artifact path (one
+        ``stat`` per case, zero directory scans); the cold subset is
+        enqueued on the fleet, then the loop folds artifacts into a
+        :class:`SuiteAggregator` in strict case order — each ``update``
+        aggregates exactly the expansion prefix ``[0, done)``, so
+        successive updates fold strict supersets (monotone by
+        construction) and the final ``done`` aggregate performs the
+        identical fold-op sequence as
         :func:`~repro.experiments.fig6_aggregate.aggregate_from_cache`
         over the same case list — byte-identical canonical JSON.
         """
@@ -429,7 +429,6 @@ class RobustnessService:
         deadline = time.monotonic() + cfg.sweep_deadline_seconds
         if self.injector is not None:
             self.injector.on_cache_read()
-            self.injector.on_index_refresh(self.cache.index_path)
         warm = (
             set()
             if cfg.force
@@ -585,10 +584,6 @@ class RobustnessService:
                     "stores": cache_stats.stores,
                     "corrupt": cache_stats.corrupt,
                     "scans": cache_stats.scans,
-                    "index_hits": cache_stats.index_hits,
-                    "index_fallbacks": cache_stats.index_fallbacks,
-                    "index_corrupt": cache_stats.index_corrupt,
-                    "index_rebuilds": cache_stats.index_rebuilds,
                 },
                 "queue": self.queue.status().__dict__,
                 "fleet": self.fleet.live(),

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.streaming import (
-    MomentAccumulator,
-    P2Quantile,
-    PearsonAccumulator,
-    PearsonMatrixAccumulator,
-)
-from repro.core.correlation import pearson, pearson_matrix
+from repro.analysis.streaming import MomentAccumulator, P2Quantile
 
 TOL = 1e-12
 
@@ -38,21 +32,6 @@ class TestMomentAccumulator:
         assert _rel_close(acc.variance(ddof=1), xs.var(axis=0, ddof=1))
         assert acc.n == k
 
-    @given(st.integers(0, 2**31 - 1), st.integers(4, 60), st.integers(1, 3))
-    @settings(max_examples=30, deadline=None)
-    def test_merge_matches_numpy(self, seed, k, n_parts):
-        rng = np.random.default_rng(seed)
-        xs = rng.normal(size=(k, 5))
-        parts = np.array_split(xs, n_parts + 1)
-        merged = MomentAccumulator((5,))
-        for part in parts:
-            acc = MomentAccumulator((5,))
-            for x in part:
-                acc.add(x)
-            merged.merge(acc)
-        assert _rel_close(merged.mean, xs.mean(axis=0))
-        assert _rel_close(merged.std(), xs.std(axis=0))
-
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_nan_skipping_matches_nanmean_nanstd(self, seed):
@@ -70,17 +49,6 @@ class TestMomentAccumulator:
             ref_std = np.nanstd(xs, axis=0)
         assert _rel_close(acc.mean, ref_mean)
         assert _rel_close(acc.std(), ref_std)
-
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 40))
-    @settings(max_examples=25, deadline=None)
-    def test_add_batch_matches_elementwise_add(self, seed, k):
-        rng = np.random.default_rng(seed)
-        xs = rng.normal(size=(k,))
-        batched = MomentAccumulator(())
-        batched.add_batch(xs[: k // 2])
-        batched.add_batch(xs[k // 2 :])
-        assert _rel_close(batched.mean, xs.mean())
-        assert _rel_close(batched.std(), xs.std())
 
     def test_scalar_shape(self):
         acc = MomentAccumulator(())
@@ -105,117 +73,6 @@ class TestMomentAccumulator:
         acc = MomentAccumulator((3,))
         with pytest.raises(ValueError):
             acc.add(np.zeros(4))
-        with pytest.raises(ValueError):
-            acc.merge(MomentAccumulator((4,)))
-        with pytest.raises(ValueError):
-            acc.add_batch(np.zeros((5, 4)))
-
-
-class TestPearsonAccumulator:
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 100), st.integers(1, 9))
-    @settings(max_examples=40, deadline=None)
-    def test_chunked_matches_batch_pearson(self, seed, k, chunk):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=k)
-        y = 0.3 * x + rng.normal(size=k)
-        acc = PearsonAccumulator()
-        for lo in range(0, k, chunk):
-            acc.add(x[lo : lo + chunk], y[lo : lo + chunk])
-        assert _rel_close(acc.corr, pearson(x, y))
-        assert acc.n == k
-
-    @given(st.integers(0, 2**31 - 1), st.integers(4, 60))
-    @settings(max_examples=25, deadline=None)
-    def test_merge_matches_batch_pearson(self, seed, k):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=k)
-        y = rng.normal(size=k)
-        a, b = PearsonAccumulator(), PearsonAccumulator()
-        a.add(x[: k // 2], y[: k // 2])
-        b.add(x[k // 2 :], y[k // 2 :])
-        a.merge(b)
-        assert _rel_close(a.corr, pearson(x, y))
-
-    def test_single_chunk_is_bit_identical_to_pearson(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=50)
-        y = 2.0 * x + rng.normal(size=50)
-        acc = PearsonAccumulator()
-        acc.add(x, y)
-        assert acc.corr == pearson(x, y)
-
-    def test_nan_pairs_dropped(self):
-        x = np.array([1.0, 2.0, np.nan, 4.0])
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        acc = PearsonAccumulator()
-        acc.add(x, y)
-        assert acc.n == 3
-        mask = np.isfinite(x)
-        assert _rel_close(acc.corr, pearson(x[mask], y[mask]))
-
-    def test_degenerate_cases(self):
-        acc = PearsonAccumulator()
-        assert np.isnan(acc.corr)
-        acc.add(1.0, 2.0)
-        assert np.isnan(acc.corr)  # < 2 points
-        acc.add(1.0, 3.0)
-        assert np.isnan(acc.corr)  # constant x
-
-    def test_shape_mismatch_rejected(self):
-        acc = PearsonAccumulator()
-        with pytest.raises(ValueError):
-            acc.add(np.zeros(3), np.zeros(4))
-
-
-class TestPearsonMatrixAccumulator:
-    @given(st.integers(0, 2**31 - 1), st.integers(3, 60), st.integers(1, 7))
-    @settings(max_examples=30, deadline=None)
-    def test_streamed_rows_match_batch_matrix(self, seed, k, chunk):
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(k, 5))
-        acc = PearsonMatrixAccumulator(5)
-        for lo in range(0, k, chunk):
-            acc.add(rows[lo : lo + chunk])
-        assert _rel_close(acc.matrix(), pearson_matrix(rows))
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_merge_matches_batch_matrix(self, seed):
-        rng = np.random.default_rng(seed)
-        rows = rng.normal(size=(40, 4))
-        a, b = PearsonMatrixAccumulator(4), PearsonMatrixAccumulator(4)
-        a.add(rows[:15])
-        b.add(rows[15:])
-        a.merge(b)
-        assert _rel_close(a.matrix(), pearson_matrix(rows))
-
-    def test_nan_rows_dropped_like_panel_pearson(self):
-        rng = np.random.default_rng(3)
-        rows = rng.normal(size=(30, 4))
-        rows[4, 2] = np.nan
-        rows[11, 0] = np.inf
-        acc = PearsonMatrixAccumulator(4)
-        for row in rows:
-            acc.add(row)
-        clean = rows[np.all(np.isfinite(rows), axis=1)]
-        assert acc.n == len(clean)
-        assert _rel_close(acc.matrix(), pearson_matrix(clean))
-
-    def test_too_few_rows_gives_nan_offdiagonal(self):
-        acc = PearsonMatrixAccumulator(3)
-        acc.add(np.ones(3))
-        m = acc.matrix()
-        assert np.all(np.diag(m) == 1.0)
-        assert np.all(np.isnan(m[~np.eye(3, dtype=bool)]))
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            PearsonMatrixAccumulator(0)
-        acc = PearsonMatrixAccumulator(3)
-        with pytest.raises(ValueError):
-            acc.add(np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            acc.merge(PearsonMatrixAccumulator(4))
 
 
 class TestP2Quantile:

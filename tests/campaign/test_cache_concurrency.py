@@ -5,14 +5,9 @@ finish the *same* case at the same moment (a spurious requeue after a
 stale heartbeat) and race their ``store()`` calls on one artifact name.
 The cache's write discipline — unique temp file per pid + atomic
 ``os.replace`` — must guarantee the surviving file is a complete, valid
-artifact with the canonical bytes, never an interleaving of two writers.
-
-The persistent index is maintained with the same discipline but via a
-lossy read-modify-write (last write wins), so the contract under
-concurrency is weaker *and* must still be safe: a reader racing the
-writers may lose the index shortcut, never correctness — every
-``lookup`` observes either nothing or the complete canonical result,
-and ``rebuild_index`` restores full consistency afterwards.
+artifact with the canonical bytes, never an interleaving of two writers,
+and a reader racing the writers observes either nothing or the complete
+canonical result.
 """
 
 import multiprocessing
@@ -20,7 +15,6 @@ import multiprocessing
 import pytest
 
 from repro.campaign import ArtifactCache, CampaignCase
-from repro.campaign.cache import INDEX_FILENAME
 from repro.experiments.cases import CaseSpec
 from repro.io.json_io import case_result_to_json
 
@@ -43,12 +37,11 @@ def _store_repeatedly(cache_dir, case_dict, barrier, repeats):
 
 
 def _lookup_repeatedly(cache_dir, case_dict, barrier, repeats):
-    """Subprocess body: an index-first reader racing the writers.
+    """Subprocess body: a ``lookup`` reader racing the writers.
 
     Every observation must be all-or-nothing: either a miss (the artifact
-    or index not there *yet*) or the complete canonical result.  A single
-    corrupt read — torn artifact, torn index surfacing as an error —
-    fails the assert and surfaces as a nonzero exitcode.
+    not there *yet*) or the complete canonical result.  A single corrupt
+    read fails the assert and surfaces as a nonzero exitcode.
     """
     import time
 
@@ -95,10 +88,9 @@ class TestConcurrentStores:
             p.join(timeout=300)
             assert p.exitcode == 0
 
-        # Exactly the one canonical artifact plus the index, no leftover
-        # temp files.
+        # Exactly the one canonical artifact, no leftover temp files.
         files = sorted(p.name for p in cache_dir.iterdir())
-        assert files == sorted([INDEX_FILENAME, case.artifact_name])
+        assert files == [case.artifact_name]
 
         # Its content is the canonical serialization, bit for bit…
         reference = case.run()
@@ -107,13 +99,11 @@ class TestConcurrentStores:
         ArtifactCache(solo_dir).store(case, reference)
         assert stored == (solo_dir / case.artifact_name).read_text()
 
-        # …and the audit agrees nothing is corrupt or half-written —
-        # including the index, which the single surviving case makes
-        # exactly consistent.
+        # …and the audit agrees nothing is corrupt or half-written.
         cache = ArtifactCache(cache_dir)
         audit = cache.verify()
         assert audit.ok, (audit.corrupt, audit.stale_temp)
-        assert audit.index_consistent, (audit.index_stale, audit.unindexed)
+        assert [p.name for p in audit.valid] == [case.artifact_name]
         loaded = cache.load(case)
         assert loaded is not None
         assert case_result_to_json(loaded) == case_result_to_json(reference)
@@ -146,10 +136,8 @@ class TestConcurrentStores:
             p.join(timeout=300)
             assert p.exitcode == 0
 
-        # Post-race, the index may have lost entries to the RMW race but
-        # a rebuild lands it exactly on the directory contents.
-        cache = ArtifactCache(cache_dir)
-        cache.rebuild_index()
-        audit = cache.verify()
-        assert audit.ok
-        assert audit.index_consistent
+        # Post-race, the directory holds the one clean artifact.
+        audit = ArtifactCache(cache_dir).verify()
+        assert audit.ok, (audit.corrupt, audit.stale_temp)
+        assert [p.name for p in audit.valid] == [case.artifact_name]
+        assert not audit.stale_temp

@@ -1,23 +1,31 @@
-"""The persistent cache index: O(1) lookups, degradation, audit, rebuild.
+"""Point lookups: the artifact path is the only index.
 
-The index is strictly advisory — these tests pin the contract that makes
-that safe: lookups through the index never scan the directory (the
-``scans`` counter is the service's O(1) assertion), a missing/corrupt/
-stale index degrades to a direct probe and self-repairs, generations
-only grow, and ``verify`` cross-checks index ↔ directory both ways.
+These tests pin the read contract every cache reader shares: lookups
+never scan the directory (the ``scans`` counter is the service's O(1)
+assertion), every read is fully checked unless its bytes equal bytes
+already checked, one bit-rotted artifact is a counted miss that the
+campaign recomputes (never a crash), and a ``cache.index`` file left by an
+older version changes nothing.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 
 import pytest
 
-from repro.campaign import ArtifactCache, CacheIndex, CampaignCase
-from repro.campaign.cache import INDEX_FILENAME, MEMO_BYTES, LRUMemo
+from repro.campaign import (
+    ArtifactCache,
+    Campaign,
+    CampaignCase,
+    partition_cases,
+    run_shard,
+)
+from repro.campaign.cache import MEMO_BYTES, CacheStats, LRUMemo
 from repro.experiments.cases import CaseSpec
 from repro.experiments.cli import main
-from repro.io.json_io import payload_digest
+from repro.io.json_io import case_result_to_json, payload_digest
 
 
 @pytest.fixture(scope="module")
@@ -34,192 +42,239 @@ def result(case):
 
 @pytest.fixture
 def warm(tmp_path, case, result) -> ArtifactCache:
-    """A cache directory holding one stored artifact (and its index)."""
+    """A cache directory holding one stored artifact."""
     cache = ArtifactCache(tmp_path / "cache")
     cache.store(case, result)
     return cache
 
 
-class TestIndexMaintenance:
-    def test_store_indexes_the_artifact(self, warm, case):
-        index = warm.read_index()
-        assert index is not None
-        assert index.generation >= 1
-        entry = index.entries[case.key]
-        assert entry["file"] == case.artifact_name
+def bit_rot(path) -> None:
+    """Write one byte that is never valid UTF-8 into the middle of ``path``."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
 
-    def test_lookup_hits_via_index_with_zero_scans(
-        self, warm, case, result
-    ):
+
+def edit_envelope(edit, redigest=False):
+    """A defect that rewrites the artifact's envelope in place with ``edit``.
+
+    With ``redigest`` the recorded digest is recomputed over the edited
+    result, so only the payload check can catch the defect.
+    """
+
+    def apply(path) -> None:
+        envelope = json.loads(path.read_text())
+        edit(envelope)
+        if redigest:
+            envelope["sha256"] = payload_digest(envelope["result"])
+        path.write_text(json.dumps(envelope))
+
+    return apply
+
+
+def _bump_first_value(envelope) -> None:
+    envelope["result"]["panel"]["values"][0][0] += 1.0
+
+
+#: Each way an artifact's bytes can fail the one check (bit rot has its
+#: own regression tests in :class:`TestBitRot`).
+DEFECTS = {
+    "empty": lambda path: path.write_bytes(b""),
+    "truncated": lambda path: path.write_bytes(
+        path.read_bytes()[: path.stat().st_size // 2]
+    ),
+    "not-an-object": lambda path: path.write_text("[]"),
+    "wrong-format": edit_envelope(
+        lambda e: e.update(format="repro-campaign-v0")
+    ),
+    "no-case": edit_envelope(lambda e: e.pop("case")),
+    "case-not-an-object": edit_envelope(lambda e: e.update(case=3)),
+    "case-edited": edit_envelope(lambda e: e["case"].update(n_random=6)),
+    "no-digest": edit_envelope(lambda e: e.pop("sha256")),
+    "value-edited": edit_envelope(_bump_first_value),
+    "result-not-an-object": edit_envelope(
+        lambda e: e.update(result=[]), redigest=True
+    ),
+    "result-of-another-kind": edit_envelope(
+        lambda e: e["result"].update(kind="suite"), redigest=True
+    ),
+    "heuristics-not-an-object": edit_envelope(
+        lambda e: e["result"].update(heuristics=[]), redigest=True
+    ),
+    "heuristic-row-short": edit_envelope(
+        lambda e: e["result"]["heuristics"].update(heft=[1.0]), redigest=True
+    ),
+    "ragged-panel": edit_envelope(
+        lambda e: e["result"]["panel"]["values"].append([1.0]), redigest=True
+    ),
+}
+
+
+class TestPointLookup:
+    def test_lookup_reads_the_path_with_zero_scans(self, warm, case, result):
         reader = ArtifactCache(warm.root)  # fresh stats
         loaded = reader.lookup(case)
         assert loaded is not None and loaded.name == result.name
-        assert reader.stats.index_hits == 1
-        assert reader.stats.index_fallbacks == 0
+        assert reader.has(case)
+        assert (reader.stats.hits, reader.stats.misses) == (1, 0)
         assert reader.stats.scans == 0
 
-    def test_missing_index_falls_back_and_repairs(self, warm, case):
-        warm.index_path.unlink()
+    def test_has_probes_the_path_and_counts_nothing(self, warm, case):
         reader = ArtifactCache(warm.root)
-        assert reader.lookup(case) is not None
-        assert reader.stats.index_fallbacks == 1
-        # the fallback repaired the entry: next lookup is index-resolved
-        assert reader.lookup(case) is not None
-        assert reader.stats.index_hits == 1
-        assert reader.stats.scans == 0
+        assert reader.has(case)
+        assert not reader.has(dataclasses.replace(case, base_seed=8))
+        assert not ArtifactCache(warm.root / "never-created").has(case)
+        assert reader.stats == CacheStats()
+        assert len(reader.memo) == 0
 
-    def test_generations_only_grow(self, tmp_path, case, result):
-        cache = ArtifactCache(tmp_path / "c")
-        gens = []
-        for seed in (1, 2, 3):
-            variant = CampaignCase(
-                spec=case.spec, base_seed=seed, n_random=5
-            )
-            cache.store(variant, result)
-            gens.append(cache.read_index().generation)
-        assert gens == sorted(gens) and len(set(gens)) == len(gens)
-
-    def test_current_index_is_cached_against_file_signature(self, warm):
-        first = warm.current_index()
-        assert warm.current_index() is first  # same file → same snapshot
-        warm.write_index(CacheIndex(generation=99, entries={}))
-        assert warm.current_index().generation == 99
-
-
-class TestIndexDegradation:
-    @pytest.mark.parametrize(
-        "corruption",
-        ["garbage {{{", "", '{"format": "something-else"}'],
-        ids=["garbage", "empty", "wrong-format"],
-    )
-    def test_corrupt_index_degrades_to_probe(
-        self, warm, case, corruption
-    ):
-        warm.index_path.write_text(corruption)
-        reader = ArtifactCache(warm.root)
-        assert reader.lookup(case) is not None  # never an error
-        assert reader.stats.index_corrupt >= 1
-        assert reader.stats.index_fallbacks == 1
-
-    def test_truncated_index_degrades_to_probe(self, warm, case):
-        data = warm.index_path.read_bytes()
-        warm.index_path.write_bytes(data[: len(data) // 2])
-        reader = ArtifactCache(warm.root)
-        assert reader.lookup(case) is not None
-        assert reader.stats.index_corrupt >= 1
-
-    def test_rebuild_recovers_from_corruption(self, warm, case):
-        warm.index_path.write_text("garbage")
-        rebuilt = warm.rebuild_index()
-        assert case.key in rebuilt.entries
-        assert warm.read_index().entries == rebuilt.entries
-        assert warm.stats.index_rebuilds == 1
-        reader = ArtifactCache(warm.root)
-        assert reader.lookup(case) is not None
-        assert reader.stats.index_hits == 1
-
-    def test_rebuild_skips_corrupt_artifacts(self, warm, case):
-        (warm.root / "broken-000000000000.json").write_text("not json")
-        rebuilt = warm.rebuild_index()
-        assert list(rebuilt.entries) == [case.key]
-
-    def test_lying_index_entry_cannot_produce_wrong_answer(
-        self, warm, case
-    ):
-        # Point the entry at the right key but corrupt the artifact:
-        # lookup re-validates content, so it reports a miss, not garbage.
+    def test_torn_artifact_is_a_miss_not_garbage(self, warm, case):
         warm.path_for(case).write_text("{torn")
         reader = ArtifactCache(warm.root)
+        assert reader.has(case)  # existence only; reads check content
         assert reader.lookup(case) is None
         assert reader.stats.corrupt == 1
 
+    def test_artifact_of_another_case_is_corrupt(self, warm, case):
+        other = dataclasses.replace(case, base_seed=8)
+        os.replace(warm.path_for(case), warm.path_for(other))
+        reader = ArtifactCache(warm.root)
+        assert reader.lookup(other) is None
+        assert reader.load(other) is None
+        assert reader.stats.corrupt == 2
 
-class TestVerifyIndexAudit:
-    def test_consistent_cache_audits_clean(self, warm):
-        audit = warm.verify()
-        assert audit.ok
-        assert audit.index_consistent
-        assert audit.index_generation == warm.read_index().generation
-        assert "index gen" in audit.summary()
 
-    def test_stale_entry_and_unindexed_artifact_reported(
-        self, warm, case
-    ):
-        index = warm.read_index()
-        doctored = dict(index.entries)
-        del doctored[case.key]  # the artifact becomes unindexed
-        doctored["f" * 64] = {"file": "nope.json", "sha256": "0" * 64}
-        warm.write_index(
-            CacheIndex(generation=index.generation + 1, entries=doctored)
-        )
-        audit = warm.verify()
-        assert audit.ok  # index problems are not corruption
-        assert not audit.index_consistent
-        assert [key for key, _ in audit.index_stale] == ["f" * 64]
-        assert [p.name for p in audit.unindexed] == [case.artifact_name]
+class TestBitRot:
+    """One undecodable byte is a counted miss for every reader, never a crash."""
 
-    def test_digest_divergence_reported(self, warm, case):
-        index = warm.read_index()
-        entries = dict(index.entries)
-        entries[case.key] = {**entries[case.key], "sha256": "0" * 64}
-        warm.write_index(
-            CacheIndex(generation=index.generation + 1, entries=entries)
-        )
-        audit = warm.verify()
-        assert [(k, r) for k, r in audit.index_stale] == [
-            (case.key, "result digest diverged")
+    def test_every_reader_counts_it_corrupt(self, warm, case):
+        bit_rot(warm.path_for(case))
+        for read in (
+            lambda c: c.load(case),
+            lambda c: c.lookup(case),
+            lambda c: next(iter(c.iter_results([case])), None),
+        ):
+            reader = ArtifactCache(warm.root)
+            assert read(reader) is None
+            assert (reader.stats.corrupt, reader.stats.misses) == (1, 1)
+        audit = ArtifactCache(warm.root).verify()
+        assert [p.name for p, _ in audit.corrupt] == [case.artifact_name]
+
+    def test_campaign_recomputes_and_restores_it(self, warm, case, result):
+        bit_rot(warm.path_for(case))
+        cache = ArtifactCache(warm.root)
+        campaign = Campaign([case], cache=cache)
+        (rerun,) = campaign.run()
+        assert case_result_to_json(rerun) == case_result_to_json(result)
+        assert campaign.stats.computed == 1
+        assert campaign.stats.corrupt_recovered == 1
+        assert cache.verify().ok
+        assert ArtifactCache(warm.root).load(case) is not None
+
+    def test_iter_results_skips_it(self, tmp_path, case, result):
+        cases = [dataclasses.replace(case, base_seed=s) for s in (1, 2, 3)]
+        cache = ArtifactCache(tmp_path / "c")
+        for c in cases:
+            cache.store(c, result)
+        bit_rot(cache.path_for(cases[1]))
+        read = ArtifactCache(cache.root)
+        assert [i for i, _, _ in read.iter_results(cases)] == [0, 2]
+        assert read.stats.corrupt == 1
+
+    def test_run_shard_counts_it_corrupt_and_recomputes(self, warm, case):
+        bit_rot(warm.path_for(case))
+        (manifest,) = [
+            m for m in partition_cases([(0, case)], 1) if m.cases
         ]
+        cache = ArtifactCache(warm.root)
+        partial = run_shard(manifest, cache)
+        assert (partial.computed, partial.cached) == (1, 0)
+        assert cache.stats.corrupt == 1
+        assert [c.index for c in partial.contributions] == [0]
+        assert cache.verify().ok
 
-    def test_missing_index_is_not_a_defect(self, warm):
-        warm.index_path.unlink()
-        audit = warm.verify()
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+class TestOneCheck:
+    """Every defect fails ``load``, ``lookup``, ``iter_results`` and
+    ``verify`` alike, and a campaign heals it, never crashing."""
+
+    def test_every_reader_counts_it_corrupt(self, warm, case, defect):
+        DEFECTS[defect](warm.path_for(case))
+        for read in (
+            lambda c: c.load(case),
+            lambda c: c.lookup(case),
+            lambda c: next(iter(c.iter_results([case])), None),
+        ):
+            reader = ArtifactCache(warm.root)
+            assert read(reader) is None
+            assert (reader.stats.hits, reader.stats.misses) == (0, 1)
+            assert reader.stats.corrupt == 1
+            assert reader.has(case)
+            assert len(reader.memo) == 0
+        audit = ArtifactCache(warm.root).verify()
+        assert [p.name for p, _ in audit.corrupt] == [case.artifact_name]
+        assert all(reason for _, reason in audit.corrupt)
+        assert audit.valid == [] and audit.orphans == []
+
+    def test_campaign_recomputes_and_restores_it(self, warm, case, defect):
+        path = warm.path_for(case)
+        stored = path.read_bytes()
+        DEFECTS[defect](path)
+        campaign = Campaign([case], cache=ArtifactCache(warm.root))
+        campaign.run()
+        assert campaign.stats.computed == 1
+        assert campaign.stats.corrupt_recovered == 1
+        assert path.read_bytes() == stored
+
+
+@pytest.fixture(params=["none", "stale", "torn"])
+def old_cache(request, tmp_path, case, result) -> ArtifactCache:
+    """A cache directory as an older version may have left it.
+
+    Older versions kept a ``cache.index`` file beside the artifacts.  It
+    is not an artifact, so nothing reads it: a stale or torn one must
+    behave exactly like none.
+    """
+    cache = ArtifactCache(tmp_path / "cache")
+    cache.store(case, result)
+    index = cache.root / "cache.index"
+    if request.param == "stale":
+        index.write_text(
+            '{"entries": {"%s": {"file": "gone.json", "sha256": "%s"}}, '
+            '"format": "repro-cache-index-v1", "generation": 3}'
+            % ("f" * 64, "0" * 64)
+        )
+    elif request.param == "torn":
+        index.write_text('{"entries": {"%s": {"fi' % case.key)
+    return ArtifactCache(cache.root)
+
+
+class TestOldCaches:
+    def test_reads_are_unaffected(self, old_cache, case, result):
+        reference = case_result_to_json(result)
+        assert old_cache.has(case)
+        assert case_result_to_json(old_cache.lookup(case)) == reference
+        assert case_result_to_json(old_cache.load(case)) == reference
+        ((index, read_case, read),) = old_cache.iter_results([case])
+        assert (index, read_case) == (0, case)
+        assert case_result_to_json(read) == reference
+        assert old_cache.stats.corrupt == 0
+        assert old_cache.stats.scans == 0
+
+    def test_verify_is_clean_and_ignores_the_file(self, old_cache, case):
+        audit = old_cache.verify()
         assert audit.ok
-        assert audit.index_generation is None
-        assert "no index" in audit.summary()
+        assert audit.summary() == "1 valid, 0 corrupt, 0 orphan, 0 stale temp files"
+        assert [p.name for p in audit.valid] == [case.artifact_name]
 
-
-class TestVerifyCacheCli:
-    def test_cli_reports_index_audit(self, warm, case, capsys):
-        index = warm.read_index()
-        warm.write_index(
-            CacheIndex(
-                generation=index.generation + 1,
-                entries={"a" * 64: {"file": "gone.json", "sha256": "0" * 64}},
-            )
-        )
+    def test_verify_cache_cli_is_clean(self, old_cache, capsys):
         code = main(
-            ["campaign", "verify-cache", "--cache-dir", str(warm.root)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0  # advisory: not corruption
-        assert "index-stale" in out
-        assert "unindexed" in out
-
-    def test_cli_rebuild_index_repairs(self, warm, case, capsys):
-        warm.index_path.write_text("garbage")
-        code = main(
-            [
-                "campaign",
-                "verify-cache",
-                "--cache-dir",
-                str(warm.root),
-                "--rebuild-index",
-            ]
+            ["campaign", "verify-cache", "--cache-dir", str(old_cache.root)]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "index rebuilt" in out
-        audit = ArtifactCache(warm.root).verify()
-        assert audit.index_consistent
-
-    def test_index_file_invisible_to_artifact_scans(self, warm, case):
-        # The .index suffix keeps it out of *.json artifact handling:
-        # verify must not flag it, iter_results must not parse it.
-        audit = warm.verify()
-        assert all(p.name != INDEX_FILENAME for p in audit.valid)
-        assert all(p.name != INDEX_FILENAME for p, _ in audit.corrupt)
-        names = [c.name for _, c, _ in warm.iter_results()]
-        assert names == [case.name]
+        assert "1 valid, 0 corrupt" in out
+        assert "cache.index" not in out
 
 
 class TestLookupMemo:
@@ -235,8 +290,7 @@ class TestLookupMemo:
         assert not first.pearson.flags.writeable
         with pytest.raises(ValueError):
             first.panel.values[0, 0] = 0.0
-        # a remembered hit still counts as an index-resolved hit
-        assert reader.stats.hits == reader.stats.index_hits == 2
+        assert reader.stats.hits == 2
         assert reader.stats.scans == 0
 
     def test_restored_result_replaces_the_remembered_one(
@@ -273,15 +327,6 @@ class TestLookupMemo:
         assert reader.stats.corrupt == 1
         assert len(reader.memo) == 0
 
-    def test_undecodable_bytes_are_corrupt_not_an_error(self, warm, case):
-        path = warm.path_for(case)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] = 0xFF  # never valid in UTF-8
-        path.write_bytes(bytes(data))
-        reader = ArtifactCache(warm.root)
-        assert reader.lookup(case) is None
-        assert reader.stats.corrupt == 1
-
     def test_deleted_artifact_is_a_miss(self, warm, case):
         reader = ArtifactCache(warm.root)
         assert reader.lookup(case) is not None
@@ -289,17 +334,6 @@ class TestLookupMemo:
         assert reader.lookup(case) is None
         assert reader.stats.misses == 1
         assert len(reader.memo) == 0 and reader.memo.nbytes == 0
-
-    def test_fallback_repairs_the_index_with_the_checked_digest(
-        self, warm, case
-    ):
-        digest = warm.read_index().entries[case.key]["sha256"]
-        reader = ArtifactCache(warm.root)
-        assert reader.lookup(case) is not None
-        warm.index_path.unlink()
-        assert reader.lookup(case) is not None  # remembered, then repaired
-        assert reader.stats.index_fallbacks == 1
-        assert warm.read_index().entries[case.key]["sha256"] == digest
 
     def test_remembering_past_the_bound_evicts_the_least_recent(
         self, tmp_path, case, result
@@ -340,7 +374,6 @@ class TestLookupMemo:
             cache.store(c, result)
         assert all(cache.load(c) is not None for c in cases)
         assert len(list(cache.iter_results(cases))) == 3
-        assert len(list(cache.iter_results())) == 3
         assert len(cache.memo) == 0 and cache.memo.nbytes == 0
 
 

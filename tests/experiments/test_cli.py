@@ -133,15 +133,12 @@ class TestAggregateSubcommand:
         assert agg_report[:-3] == fig6_report[:-3]
         assert any("nothing recomputed" in line for line in agg_report)
 
-    def test_stream_flag_keeps_report_identical(self, capsys, tmp_path, monkeypatch):
-        self._mini_suite(monkeypatch)
-        cache_dir = tmp_path / "cache"
-        assert main(["fig6", "--cache-dir", str(cache_dir)]) == 0
-        plain = capsys.readouterr().out.splitlines()
-        assert main(["fig6", "--cache-dir", str(cache_dir), "--stream"]) == 0
-        streamed = capsys.readouterr().out.splitlines()
-        # Same report; only the timing/cache footer lines may differ.
-        assert streamed[:-3] == plain[:-3]
+    def test_stream_flag_is_gone(self, capsys):
+        # fig6 always streams its cases into the aggregate: nothing to choose.
+        with pytest.raises(SystemExit) as err:
+            main(["fig6", "--stream"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
 
 
 class TestBackendFlag:
@@ -314,3 +311,14 @@ class TestCampaignSubcommands:
         ) == 1
         out = capsys.readouterr().out
         assert "1 corrupt" in out and "zz-broken.json" in out
+
+    def test_rebuild_index_flag_is_gone(self, tmp_path, capsys):
+        # The artifact path is the only index: there is nothing to rebuild.
+        with pytest.raises(SystemExit) as err:
+            main(
+                ["campaign", "verify-cache", "--cache-dir", str(tmp_path),
+                 "--rebuild-index"]
+            )
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "unrecognized arguments: --rebuild-index" in err_text

@@ -2,7 +2,7 @@
 
 Each test binds a real :class:`ThreadingHTTPServer` on an ephemeral port
 (``port=0``) and drives it with stdlib ``urllib`` clients, so the full
-stack — HTTP skin, admission gate, indexed cache, queue dispatch — is
+stack — HTTP skin, admission gate, artifact cache, queue dispatch — is
 exercised exactly as production traffic would.  The two invariants every
 test circles back to:
 
@@ -168,7 +168,7 @@ class TestHitPath:
             assert_identical(body, hit_case, hit_result)
             # the O(1) assertion: a warm hit does zero directory scans
             assert service.cache.stats.scans == 0
-            assert service.cache.stats.index_hits == 1
+            assert service.cache.stats.hits == 1
             assert service.stats.hits == 1
 
     def test_repeated_hits_stay_scan_free(
@@ -181,7 +181,7 @@ class TestHitPath:
                 status, _, body = get(service, f"/case?{qs(HIT)}")
                 assert status == 200 and body["source"] == "hit"
             assert service.cache.stats.scans == 0
-            assert service.cache.stats.index_hits == 5
+            assert service.cache.stats.hits == 5
 
     def test_keepalive_hits_do_not_stall(self, tmp_path, hit_case, hit_result):
         # A reply leaves in two writes (headers, body); with Nagle's
@@ -223,7 +223,7 @@ class TestRememberedHits:
                 assert status == 200
                 assert raw == expected
                 assert headers["Content-Length"] == str(len(expected))
-            assert service.cache.stats.index_hits == 3
+            assert service.cache.stats.hits == 3
 
     def test_restored_result_is_served_on_the_next_hit(
         self, tmp_path, hit_case, hit_result
@@ -448,26 +448,11 @@ class TestFaultInjection:
             assert status == 200
             assert_identical(body, hit_case, hit_result)
 
-    def test_torn_index_degrades_to_probe_not_error(
-        self, tmp_path, hit_case, hit_result, monkeypatch
-    ):
-        config = _config(tmp_path)
-        warm = ArtifactCache(config.cache_dir)
-        warm.store(hit_case, hit_result)
-        assert warm.index_path.exists()
+    def test_torn_index_is_an_unknown_fault_kind(self, tmp_path, monkeypatch):
+        # The cache keeps no index file, so there is nothing to tear.
         monkeypatch.setenv("REPRO_QUEUE_FAULT", "torn-index")
-        with serving(config) as service:
-            status, _, body = get(service, f"/case?{qs(HIT)}")
-            assert status == 200  # the tear never surfaces
-            assert body["source"] == "hit"
-            assert_identical(body, hit_case, hit_result)
-            assert "torn-index" in fired_markers(service.queue)
-            assert service.cache.stats.index_corrupt >= 1
-            # the fallback repaired the index: next hit is index-resolved
-            hits_before = service.cache.stats.index_hits
-            status, _, _ = get(service, f"/case?{qs(HIT)}")
-            assert status == 200
-            assert service.cache.stats.index_hits == hits_before + 1
+        with pytest.raises(ValueError, match="unknown fault kind 'torn-index'"):
+            RobustnessService(_config(tmp_path))
 
     def test_backend_hang_delays_dispatch_but_serves(
         self, tmp_path, miss_case, miss_result, monkeypatch
@@ -507,8 +492,13 @@ class TestOps:
             assert raw == canonical_json(body).encode()
             assert body["service"]["requests"] == 1
             assert body["service"]["hits"] == 1
-            assert body["cache"]["scans"] == 0
-            assert body["cache"]["index_hits"] == 1
+            assert body["cache"] == {
+                "hits": 1,
+                "misses": 0,
+                "stores": 0,
+                "corrupt": 0,
+                "scans": 0,
+            }
             assert body["admission"]["admitted"] == 1
             assert "open" in body["queue"]
             assert isinstance(body["summary"], str)

@@ -56,11 +56,10 @@ def caseset():
 
 
 def warm_cache(tmp_path, cases) -> None:
-    """Precompute ``cases`` into the service cache and index them."""
+    """Precompute ``cases`` into the service cache."""
     cache = ArtifactCache(tmp_path / "cache")
     for _ in Campaign(list(cases), cache=cache).iter_results():
         pass
-    cache.rebuild_index()
 
 
 def oracle_bytes(tmp_path, cs) -> str:

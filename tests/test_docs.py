@@ -41,7 +41,6 @@ class TestDocsPresence:
             "--cache-dir",
             "--resume",
             "--force",
-            "--stream",
             "aggregate",
             "bit-identical",
             "repro.experiments.cli",
