@@ -17,16 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any, Iterable, get_args
 
 from repro.core.metrics import DEFAULT_DELTA, DEFAULT_GAMMA, Method
-from repro.experiments.cases import CaseSpec, build_workload
+from repro.experiments.cases import CaseSpec, Kind, build_workload
 from repro.experiments.scale import Scale, get_scale
 from repro.io.json_io import payload_digest
 from repro.schedule import ALL_HEURISTICS
 from repro.stochastic.model import StochasticModel
 
-__all__ = ["CampaignCase", "expand_suite"]
+__all__ = ["METHODS", "CampaignCase", "expand_suite"]
+
+#: Every makespan-distribution engine a case can name, in canonical order.
+METHODS: tuple[str, ...] = get_args(Method)
+_KINDS: tuple[str, ...] = get_args(Kind)
 
 
 @dataclass(frozen=True)
@@ -150,22 +154,81 @@ class CampaignCase:
         """
         return payload_digest(self.to_dict())
 
+    @classmethod
+    def at_scale(
+        cls,
+        spec: CaseSpec,
+        scale: Scale | str | None = None,
+        *,
+        n_random: int | None = None,
+        grid_n: int | None = None,
+        mc_realizations: int | None = None,
+        **fields: Any,
+    ) -> CampaignCase:
+        """Build and :meth:`check` the case ``spec`` names at ``scale``.
+
+        The one builder of every case named by user input: suite
+        expansion, case-set terms and ``/case`` queries.  Each population
+        size left ``None`` takes the scale's value for the graph's size
+        (``scale`` resolves through :func:`get_scale`); ``fields`` are the
+        other dataclass fields.  Raises :class:`ValueError` for a case
+        :meth:`run` cannot evaluate.
+        """
+        _check_graph(spec)  # the n_random default reads the task count
+        scale = get_scale(scale)
+        case = cls(
+            spec=spec,
+            n_random=(
+                scale.n_random(spec.n_tasks) if n_random is None else n_random
+            ),
+            grid_n=scale.grid_n if grid_n is None else grid_n,
+            mc_realizations=(
+                scale.mc_realizations
+                if mc_realizations is None
+                else mc_realizations
+            ),
+            **fields,
+        )
+        case.check()
+        return case
+
     def check(self) -> None:
         """Raise :class:`ValueError` unless :meth:`run` can evaluate this case.
 
-        The one validity check of a case built from user input (the
-        service's query parser and the case-set grammar both call it), so
-        a case no worker can run is refused up front instead of failing
-        on the fleet.  It mirrors ``StochasticModel.__post_init__`` and
-        the guards of :func:`~repro.core.study.evaluate_case`.
+        The one place a bound on a case lives.  :meth:`at_scale` calls
+        it, so a case no worker can run is refused up front instead of
+        failing on the fleet.  ``StochasticModel`` and
+        :func:`~repro.core.study.evaluate_case` keep their own guards for
+        callers that build a case directly.
         """
-        ul = self.spec.ul
-        if not (math.isfinite(ul) and ul >= 1.0):
-            raise ValueError(f"ul must be finite and >= 1, got {ul}")
-        if self.n_random < 2:
-            raise ValueError(f"n_random must be >= 2, got {self.n_random}")
-        if self.grid_n < 8:
-            raise ValueError(f"grid_n must be >= 8, got {self.grid_n}")
+        _check_graph(self.spec)
+        for name, value, minimum in (
+            ("ul", self.spec.ul, 1),
+            ("delta", self.delta, 0),
+            ("gamma", self.gamma, 1),
+        ):
+            if not (math.isfinite(value) and value >= minimum):
+                raise ValueError(
+                    f"{name} must be finite and >= {minimum}, got {value}"
+                )
+        if self.method not in METHODS:
+            raise ValueError(
+                f"method must be one of {METHODS}, got {self.method!r}"
+            )
+        for name, value, minimum in (
+            ("instance", self.spec.instance, 0),
+            ("n_random", self.n_random, 2),
+            ("grid_n", self.grid_n, 8),
+            ("mc_realizations", self.mc_realizations, 1),
+        ):
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        if not self.heuristics:
+            raise ValueError("heuristics must name at least one heuristic")
+        if len(set(self.heuristics)) < len(self.heuristics):
+            raise ValueError(
+                f"heuristics must not repeat a name, got {list(self.heuristics)}"
+            )
         unknown = [h for h in self.heuristics if h not in ALL_HEURISTICS]
         if unknown:
             raise ValueError(
@@ -181,9 +244,11 @@ class CampaignCase:
             raise ValueError(
                 f"mc_batch requires method montecarlo, got {self.method!r}"
             )
-        for name, value in (("delta", self.delta), ("gamma", self.gamma)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if self.method == "montecarlo" and self.mc_realizations < 2:
+            raise ValueError(
+                "method montecarlo needs mc_realizations >= 2, "
+                f"got {self.mc_realizations}"
+            )
 
     def shard(self, n_shards: int) -> int:
         """Deterministic shard assignment of this case among ``n_shards``.
@@ -233,6 +298,22 @@ class CampaignCase:
         )
 
 
+def _check_graph(spec: CaseSpec) -> None:
+    """Raise :class:`ValueError` unless ``spec`` names a graph that exists.
+
+    Part of :meth:`CampaignCase.check`.  It must pass before anything
+    reads ``spec.n_tasks``.
+    """
+    if spec.kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {spec.kind!r}")
+    minimum = 2 if spec.kind == "ge" else 1
+    if spec.param < minimum:
+        raise ValueError(
+            f"param must be >= {minimum} for {spec.kind} graphs, "
+            f"got {spec.param}"
+        )
+
+
 def expand_suite(
     specs: Iterable[CaseSpec],
     scale: Scale | str | None = None,
@@ -246,15 +327,12 @@ def expand_suite(
     Population sizes follow the scale's per-size policy, exactly as the
     serial ``fig6`` runner chose them.
     """
-    scale = get_scale(scale)
     return [
-        CampaignCase(
-            spec=spec,
+        CampaignCase.at_scale(
+            spec,
+            scale,
             base_seed=base_seed,
-            n_random=scale.n_random(spec.n_tasks),
-            grid_n=scale.grid_n,
             method=method,
-            mc_realizations=scale.mc_realizations,
             mc_batch=mc_batch,
             fast_conv=fast_conv,
         )

@@ -11,24 +11,32 @@ expression.  See :mod:`repro.caseset.grammar` for the lexical layer and
 
 from repro.caseset.grammar import CaseSetError
 from repro.caseset.sets import (
+    MODIFIERS,
     CaseEntry,
     CaseSet,
     GraphToken,
     Profile,
     as_caseset,
+    as_float,
+    as_int,
     expand,
     fold,
     parse,
+    parse_modifiers,
 )
 
 __all__ = [
+    "MODIFIERS",
     "CaseEntry",
     "CaseSet",
     "CaseSetError",
     "GraphToken",
     "Profile",
     "as_caseset",
+    "as_float",
+    "as_int",
     "expand",
     "fold",
     "parse",
+    "parse_modifiers",
 ]

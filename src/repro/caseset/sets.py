@@ -20,10 +20,10 @@ The contract that makes the algebra safe to put in front of the cache:
   fixed odometer order — ``ul`` slowest, then ``graph``, ``seed``,
   ``method`` — so the same expression always yields the same ordered
   case list, and therefore the same aggregate bytes.
-* **Expanded cases are the campaign's own.**  Each coordinate builds a
-  :class:`~repro.campaign.spec.CampaignCase` exactly as the service's
-  ``/case`` resolver would (same scale-derived population defaults), so
-  sweep cases share artifact keys with every other layer of the stack.
+* **Expanded cases are the campaign's own.**  Each coordinate is built
+  by :meth:`~repro.campaign.spec.CampaignCase.at_scale`, the one builder
+  behind suite expansion and ``/case`` queries too, so sweep cases share
+  artifact keys with every other layer of the stack.
 * **fold ∘ expand is the identity on sets.**  :meth:`CaseSet.fold`
   re-compacts any case set to a canonical expression that re-expands to
   the identical case keys — so "what's missing from the cache" is
@@ -41,9 +41,9 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from repro.campaign.spec import CampaignCase
+from repro.campaign.spec import METHODS, CampaignCase
 from repro.caseset.grammar import (
     CaseSetError,
     fold_floats,
@@ -58,22 +58,22 @@ from repro.core.metrics import DEFAULT_DELTA, DEFAULT_GAMMA
 from repro.dag.cholesky import cholesky_task_count
 from repro.dag.gaussian_elim import ge_task_count
 from repro.experiments.cases import CaseSpec
-from repro.experiments.scale import get_scale
-from repro.schedule import ALL_HEURISTICS
 
 __all__ = [
+    "MODIFIERS",
     "CaseEntry",
     "CaseSet",
     "GraphToken",
     "Profile",
     "as_caseset",
+    "as_float",
+    "as_int",
     "expand",
     "fold",
     "parse",
+    "parse_modifiers",
 ]
 
-_METHODS = ("classical", "dodin", "spelde", "montecarlo")
-_SCALES = ("quick", "default", "paper")
 _KIND_RANK = {"random": 0, "cholesky": 1, "ge": 2}
 _KIND_PREFIX = {"random": "rand", "cholesky": "chol", "ge": "ge"}
 _GRAPH_TOKEN = re.compile(r"^(rand|random|chol|cholesky|ge)(\d+)$")
@@ -90,24 +90,72 @@ _CASE_DEFAULTS = {
 _DEFAULT_BASE_SEED: int = _CASE_DEFAULTS["base_seed"]
 _DEFAULT_PANEL: tuple[str, ...] = _CASE_DEFAULTS["heuristics"]
 _DEFAULT_SCALE = "quick"
+_DEFAULT_CASE_METHOD = _CASE_DEFAULTS["method"]
+
+
+# ---------------------------------------------------------------------- #
+# modifier typing (the service's ``/case`` parser shares it)
+# ---------------------------------------------------------------------- #
+
+
+def as_int(name: str, raw: str) -> int:
+    """Type an integer value; the error names ``name``."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise CaseSetError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def as_float(name: str, raw: str) -> float:
+    """Type a number; the error names ``name``."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise CaseSetError(f"{name} must be a number, got {raw!r}") from None
+
+
+def _as_bool(name: str, raw: str) -> bool:
+    """Type a boolean (1/0, true/false, yes/no, on/off)."""
+    lowered = raw.strip().lower()
+    if lowered in _TRUE:
+        return True
+    if lowered in _FALSE:
+        return False
+    raise CaseSetError(f"{name} must be a boolean, got {raw!r}")
+
+
+#: Modifier name → typing function ``(name, raw) -> value``.  A modifier
+#: takes one value and refines every case of a case-set term or of a
+#: ``/case`` query.  The scale name is checked when the case is built.
+MODIFIERS: Mapping[str, Callable[[str, str], Any]] = {
+    "scale": lambda name, raw: raw,
+    "base_seed": as_int,
+    "n_random": as_int,
+    "grid_n": as_int,
+    "mc_realizations": as_int,
+    "delta": as_float,
+    "gamma": as_float,
+    "mc_batch": _as_bool,
+    "fast_conv": _as_bool,
+}
+
+
+def parse_modifiers(raw: Mapping[str, str]) -> dict[str, Any]:
+    """Type each :data:`MODIFIERS` entry of ``raw``, skipping other names.
+
+    The result is keyword arguments of :class:`Profile` and
+    :meth:`CampaignCase.at_scale`.  A value that does not parse raises
+    :class:`CaseSetError` naming its modifier.
+    """
+    return {
+        name: MODIFIERS[name](name, raw[name])
+        for name in MODIFIERS
+        if name in raw
+    }
+
 
 #: Every axis the grammar accepts (aliases map onto these).
-_KNOWN_AXES = (
-    "graph",
-    "ul",
-    "seed",
-    "method",
-    "heuristic",
-    "scale",
-    "base_seed",
-    "n_random",
-    "grid_n",
-    "mc_realizations",
-    "delta",
-    "gamma",
-    "mc_batch",
-    "fast_conv",
-)
+_KNOWN_AXES = ("graph", "ul", "seed", "method", "heuristic", *MODIFIERS)
 _AXIS_ALIASES = {"instance": "seed", "heuristics": "heuristic"}
 
 
@@ -143,8 +191,6 @@ def _parse_graph(raw: str) -> GraphToken:
         )
     word, count = match.group(1), int(match.group(2))
     if word in ("rand", "random"):
-        if count < 1:
-            raise CaseSetError(f"random graph needs >= 1 task, got {raw!r}")
         return GraphToken("random", count)
     kind = "cholesky" if word in ("chol", "cholesky") else "ge"
     table = _CHOL_COUNTS if kind == "cholesky" else _GE_COUNTS
@@ -164,15 +210,16 @@ def _parse_graph(raw: str) -> GraphToken:
 class Profile:
     """The non-product modifiers shared by every case of a term.
 
-    ``None`` population fields defer to the named scale per graph size,
-    exactly like the service's ``/case`` resolver; the ``heuristics``
-    tuple is the per-case evaluation panel (order is part of the case's
-    identity, so it is preserved verbatim through fold/parse).
+    Field names are :meth:`CampaignCase.at_scale` keywords, and a folded
+    term prints them in declaration order.  ``None`` population fields
+    defer to the named scale per graph size; the ``heuristics`` tuple is
+    the per-case evaluation panel (order is part of the case's identity,
+    so it is preserved verbatim through fold/parse).
     """
 
+    heuristics: tuple[str, ...] = _DEFAULT_PANEL
     scale: str = _DEFAULT_SCALE
     base_seed: int = _DEFAULT_BASE_SEED
-    heuristics: tuple[str, ...] = _DEFAULT_PANEL
     n_random: int | None = None
     grid_n: int | None = None
     mc_realizations: int | None = None
@@ -195,41 +242,16 @@ class CaseEntry:
     def to_case(self) -> CampaignCase:
         """Build the campaign case this coordinate names.
 
-        Population sizes default from the profile's scale per graph
-        size, identically to ``case_from_query`` — parsing drift here
-        would change artifact keys and silently miss the cache.  A case
-        no worker could run (:meth:`CampaignCase.check`) raises
-        :class:`CaseSetError`.
+        The profile's fields are :meth:`CampaignCase.at_scale` keywords.
+        A case no worker could run raises :class:`CaseSetError`.
         """
         spec = CaseSpec(self.graph.kind, self.graph.param, self.ul, self.seed)
-        p = self.profile
-        scale = get_scale(p.scale)
-        case = CampaignCase(
-            spec=spec,
-            base_seed=p.base_seed,
-            n_random=(
-                p.n_random
-                if p.n_random is not None
-                else scale.n_random(spec.n_tasks)
-            ),
-            grid_n=p.grid_n if p.grid_n is not None else scale.grid_n,
-            method=self.method,
-            heuristics=p.heuristics,
-            delta=p.delta,
-            gamma=p.gamma,
-            mc_realizations=(
-                p.mc_realizations
-                if p.mc_realizations is not None
-                else scale.mc_realizations
-            ),
-            mc_batch=p.mc_batch,
-            fast_conv=p.fast_conv,
-        )
         try:
-            case.check()
+            return CampaignCase.at_scale(
+                spec, method=self.method, **vars(self.profile)
+            )
         except ValueError as exc:
             raise CaseSetError(str(exc)) from None
-        return case
 
 
 # ---------------------------------------------------------------------- #
@@ -246,39 +268,6 @@ def _single(axes: dict[str, list[str]], name: str) -> str:
             f"value, got {values}"
         )
     return values[0]
-
-
-def _single_int(
-    axes: dict[str, list[str]], name: str, minimum: int | None = None
-) -> int:
-    """Parse a singleton integer modifier with an optional lower bound."""
-    raw = _single(axes, name)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CaseSetError(f"{name} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise CaseSetError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _single_float(axes: dict[str, list[str]], name: str) -> float:
-    """Parse a singleton float modifier."""
-    raw = _single(axes, name)
-    try:
-        return float(raw)
-    except ValueError:
-        raise CaseSetError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _single_bool(axes: dict[str, list[str]], name: str) -> bool:
-    """Parse a singleton boolean modifier (1/0, true/false, yes/no)."""
-    raw = _single(axes, name).lower()
-    if raw in _TRUE:
-        return True
-    if raw in _FALSE:
-        return False
-    raise CaseSetError(f"{name} must be a boolean, got {raw!r}")
 
 
 def _term_entries(
@@ -305,62 +294,20 @@ def _term_entries(
         key=lambda g: g.sort_key,
     )
     uls = parse_float_values("ul", axes["ul"])
-    if any(ul <= 0 for ul in uls):
-        raise CaseSetError(f"ul must be > 0, got {min(uls)}")
     seeds = parse_int_values("seed", axes["seed"]) if "seed" in axes else [0]
 
     methods = [_DEFAULT_CASE_METHOD]
     if "method" in axes:
-        methods = list(dict.fromkeys(axes["method"]))
-        for method in methods:
-            if method not in _METHODS:
-                raise CaseSetError(
-                    f"method must be one of {_METHODS}, got {method!r}"
-                )
-        methods.sort(key=_METHODS.index)
+        # canonical order; check() names any method outside METHODS
+        methods = [m for m in METHODS if m in axes["method"]]
+        methods += sorted(set(axes["method"]) - set(METHODS))
 
-    profile_kwargs: dict = {}
+    modifiers = parse_modifiers(
+        {name: _single(axes, name) for name in MODIFIERS if name in axes}
+    )
     if "heuristic" in axes:
-        panel = tuple(dict.fromkeys(axes["heuristic"]))
-        for name in panel:
-            if name not in ALL_HEURISTICS:
-                raise CaseSetError(
-                    f"unknown heuristic {name!r}; expected a subset of "
-                    f"{sorted(ALL_HEURISTICS)}"
-                )
-        profile_kwargs["heuristics"] = panel
-    if "scale" in axes:
-        scale = _single(axes, "scale")
-        if scale not in _SCALES:
-            raise CaseSetError(
-                f"scale must be one of {_SCALES}, got {scale!r}"
-            )
-        profile_kwargs["scale"] = scale
-    if "base_seed" in axes:
-        profile_kwargs["base_seed"] = _single_int(axes, "base_seed")
-    if "n_random" in axes:
-        profile_kwargs["n_random"] = _single_int(axes, "n_random", minimum=0)
-    if "grid_n" in axes:
-        profile_kwargs["grid_n"] = _single_int(axes, "grid_n", minimum=2)
-    if "mc_realizations" in axes:
-        profile_kwargs["mc_realizations"] = _single_int(
-            axes, "mc_realizations", minimum=1
-        )
-    if "delta" in axes:
-        profile_kwargs["delta"] = _single_float(axes, "delta")
-    if "gamma" in axes:
-        profile_kwargs["gamma"] = _single_float(axes, "gamma")
-    if "mc_batch" in axes:
-        profile_kwargs["mc_batch"] = _single_bool(axes, "mc_batch")
-    if "fast_conv" in axes:
-        profile_kwargs["fast_conv"] = _single_bool(axes, "fast_conv")
-    profile = Profile(**profile_kwargs)
-
-    if profile.mc_batch and any(m != "montecarlo" for m in methods):
-        raise CaseSetError(
-            "mc_batch requires method[montecarlo], got "
-            f"method{list(methods)}"
-        )
+        modifiers["heuristics"] = tuple(dict.fromkeys(axes["heuristic"]))
+    profile = Profile(**modifiers)
 
     size = len(uls) * len(graphs) * len(seeds) * len(methods)
     if max_cases is not None and size > max_cases:
@@ -374,9 +321,6 @@ def _term_entries(
         for seed in seeds
         for method in methods
     ]
-
-
-_DEFAULT_CASE_METHOD = _CASE_DEFAULTS["method"]
 
 
 # ---------------------------------------------------------------------- #
@@ -558,31 +502,25 @@ def _print_term(
         parts.append(f"seed[{fold_ints(sorted(seeds))}]")
     if methods != {_DEFAULT_CASE_METHOD}:
         parts.append(
-            "method[{}]".format(
-                ",".join(sorted(methods, key=_METHODS.index))
-            )
+            "method[{}]".format(",".join(sorted(methods, key=METHODS.index)))
         )
-    if profile.heuristics != _DEFAULT_PANEL:
-        parts.append("heuristic[{}]".format(",".join(profile.heuristics)))
-    if profile.scale != _DEFAULT_SCALE:
-        parts.append(f"scale[{profile.scale}]")
-    if profile.base_seed != _DEFAULT_BASE_SEED:
-        parts.append(f"base_seed[{profile.base_seed}]")
-    if profile.n_random is not None:
-        parts.append(f"n_random[{profile.n_random}]")
-    if profile.grid_n is not None:
-        parts.append(f"grid_n[{profile.grid_n}]")
-    if profile.mc_realizations is not None:
-        parts.append(f"mc_realizations[{profile.mc_realizations}]")
-    if profile.delta != DEFAULT_DELTA:
-        parts.append(f"delta[{format_float(profile.delta)}]")
-    if profile.gamma != DEFAULT_GAMMA:
-        parts.append(f"gamma[{format_float(profile.gamma)}]")
-    if profile.mc_batch:
-        parts.append("mc_batch[1]")
-    if profile.fast_conv:
-        parts.append("fast_conv[1]")
+    for field in dataclasses.fields(Profile):
+        value = getattr(profile, field.name)
+        if value != field.default:
+            axis = _AXIS_ALIASES.get(field.name, field.name)
+            parts.append(f"{axis}[{_print_value(value)}]")
     return " x ".join(parts)
+
+
+def _print_value(value: object) -> str:
+    """Spell one modifier value as the grammar reads it back."""
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
 
 
 # ---------------------------------------------------------------------- #

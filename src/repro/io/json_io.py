@@ -202,10 +202,16 @@ def case_result_from_payload(payload: dict[str, Any]) -> CaseResult:
         str(name): RobustnessMetrics(**dict(zip(METRIC_NAMES, map(float, row))))
         for name, row in heuristics.items()
     }
+    pearson = np.asarray(payload["pearson"], dtype=float)
+    if pearson.shape != (len(METRIC_NAMES),) * 2:
+        raise ValueError(
+            f"pearson must be {len(METRIC_NAMES)}×{len(METRIC_NAMES)}, "
+            f"got shape {pearson.shape}"
+        )
     return CaseResult(
         name=str(payload["name"]),
         panel=panel,
-        pearson=np.asarray(payload["pearson"], dtype=float),
+        pearson=pearson,
         heuristic_metrics=heuristic_metrics,
     )
 

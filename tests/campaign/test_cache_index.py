@@ -107,6 +107,9 @@ DEFECTS = {
     "ragged-panel": edit_envelope(
         lambda e: e["result"]["panel"]["values"].append([1.0]), redigest=True
     ),
+    "pearson-not-8x8": edit_envelope(
+        lambda e: e["result"].update(pearson=[1.0]), redigest=True
+    ),
 }
 
 

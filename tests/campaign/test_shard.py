@@ -1,5 +1,8 @@
 """The shard/worker/merge protocol: partition, round trips, bit-identity."""
 
+import pathlib
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,41 @@ SPECS = [
 
 def _indexed_cases():
     return list(enumerate(expand_suite(SPECS, TINY, base_seed=17)))
+
+
+@dataclass(frozen=True)
+class ColdRuns:
+    """The suite computed cold three ways, each into its own cache."""
+
+    indexed: list
+    single: object  # the single-process aggregate, the reference
+    single_cache: pathlib.Path
+    one: ShardPartial  # the whole suite as one shard
+    one_cache: pathlib.Path
+    three: list  # three shards' partials, in shard order
+    three_cache: pathlib.Path
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory) -> ColdRuns:
+    """Compute the suite once per way; tests that only read share it."""
+    root = tmp_path_factory.mktemp("shards")
+    indexed = _indexed_cases()
+    agg = SuiteAggregator()
+    campaign = Campaign(
+        [c for _, c in indexed], cache=ArtifactCache(root / "single")
+    )
+    for i, case, result in campaign.iter_results():
+        agg.add_case(i, case, result)
+    return ColdRuns(
+        indexed=indexed,
+        single=agg.finalize(),
+        single_cache=root / "single",
+        one=run_shard(partition_cases(indexed, 1)[0], root / "one"),
+        one_cache=root / "one",
+        three=[run_shard(m, root / "three") for m in partition_cases(indexed, 3)],
+        three_cache=root / "three",
+    )
 
 
 class TestPartition:
@@ -120,20 +158,9 @@ class TestFileRoundTrips:
 
 
 class TestWorkerAndMerge:
-    def _single_process_aggregate(self, cases):
-        agg = SuiteAggregator()
-        for i, case, result in Campaign(cases).iter_results():
-            agg.add_case(i, case, result)
-        return agg.finalize()
-
-    def test_merge_is_bit_identical_to_single_process_fold(self, tmp_path):
-        indexed = _indexed_cases()
-        single = self._single_process_aggregate([c for _, c in indexed])
-        partials = [
-            run_shard(m, tmp_path / "cache")
-            for m in partition_cases(indexed, 3)
-        ]
-        merged = merge_partials(partials).aggregate
+    def test_merge_is_bit_identical_to_single_process_fold(self, runs):
+        single = runs.single
+        merged = merge_partials(runs.three).aggregate
         assert np.array_equal(single.mean, merged.mean, equal_nan=True)
         assert np.array_equal(single.std, merged.std, equal_nan=True)
         assert single.rel_mean == merged.rel_mean
@@ -141,18 +168,13 @@ class TestWorkerAndMerge:
         assert single.heuristic_rows == merged.heuristic_rows
         assert single.case_rows == merged.case_rows
 
-    def test_shard_workers_write_identical_artifacts(self, tmp_path):
-        indexed = _indexed_cases()
-        Campaign(
-            [c for _, c in indexed], cache=ArtifactCache(tmp_path / "a")
-        ).run()
-        for m in partition_cases(indexed, 2):
-            run_shard(m, tmp_path / "b")
-        files_a = sorted((tmp_path / "a").iterdir())
-        files_b = sorted((tmp_path / "b").iterdir())
-        assert [p.name for p in files_a] == [p.name for p in files_b]
-        for a, b in zip(files_a, files_b):
-            assert a.read_bytes() == b.read_bytes()
+    def test_shard_workers_write_identical_artifacts(self, runs):
+        files_a = sorted(runs.single_cache.iterdir())
+        for shard_cache in (runs.one_cache, runs.three_cache):
+            files_b = sorted(shard_cache.iterdir())
+            assert [p.name for p in files_a] == [p.name for p in files_b]
+            for a, b in zip(files_a, files_b):
+                assert a.read_bytes() == b.read_bytes()
 
     def test_worker_reuses_cache_and_reports_counts(self, tmp_path):
         manifest = partition_cases(_indexed_cases(), 1)[0]
@@ -162,10 +184,9 @@ class TestWorkerAndMerge:
         assert warm.computed == 0 and warm.cached == len(manifest.cases)
         assert merge_partials([warm]).cached == len(manifest.cases)
 
-    def test_merge_subset_of_shards_is_exact_partial(self, tmp_path):
-        indexed = _indexed_cases()
-        manifests = [m for m in partition_cases(indexed, 3) if m.cases]
-        partials = [run_shard(m, tmp_path / "cache") for m in manifests]
+    def test_merge_subset_of_shards_is_exact_partial(self, runs):
+        manifests = [m for m in partition_cases(runs.indexed, 3) if m.cases]
+        partials = [runs.three[m.shard_index] for m in manifests]
         merged = merge_partials(partials[:-1])
         covered = [i for m in manifests[:-1] for i, _ in m.cases]
         assert merged.aggregate.n_cases == len(covered)
@@ -179,9 +200,8 @@ class TestWorkerAndMerge:
             merged.aggregate.mean, reference.finalize().mean, equal_nan=True
         )
 
-    def test_merge_rejects_duplicate_case_keys_across_shards(self, tmp_path):
-        manifest = partition_cases(_indexed_cases(), 1)[0]
-        partial = run_shard(manifest, tmp_path / "cache")
+    def test_merge_rejects_duplicate_case_keys_across_shards(self, runs):
+        partial = runs.one
         twin = ShardPartial(
             shard_index=0 if partial.shard_index else 1,
             n_shards=partial.n_shards,
@@ -193,7 +213,7 @@ class TestWorkerAndMerge:
         with pytest.raises(ValueError, match="duplicate case key"):
             merge_partials([partial, twin])
 
-    def test_merge_rejects_overlapping_contribution_indices(self, tmp_path):
+    def test_merge_rejects_overlapping_contribution_indices(self, runs):
         # A requeue race can leave a stale partial whose *case keys*
         # differ (e.g. a fast-conv variant or recomputed keys) but whose
         # contribution indices collide with another shard's — folding
@@ -201,8 +221,7 @@ class TestWorkerAndMerge:
         # actionable, raised before any folding happens.
         from repro.campaign import PartialOverlapError
 
-        manifest = partition_cases(_indexed_cases(), 1)[0]
-        partial = run_shard(manifest, tmp_path / "cache")
+        partial = runs.one
         stale = ShardPartial(
             shard_index=0 if partial.shard_index else 1,
             n_shards=partial.n_shards,
@@ -219,26 +238,27 @@ class TestWorkerAndMerge:
         assert "stale partial" in message  # remediation hint
         assert isinstance(err.value, ValueError)  # backwards compatible
 
-    def test_merge_rejects_same_shard_twice(self, tmp_path):
-        manifest = partition_cases(_indexed_cases(), 1)[0]
-        partial = run_shard(manifest, tmp_path / "cache")
+    def test_merge_rejects_same_shard_twice(self, runs):
         with pytest.raises(ValueError, match="appears twice"):
-            merge_partials([partial, partial])
+            merge_partials([runs.one, runs.one])
 
-    def test_merge_rejects_foreign_suites(self, tmp_path):
-        indexed = _indexed_cases()
-        a = run_shard(partition_cases(indexed, 1)[0], tmp_path / "a")
-        b = run_shard(partition_cases(indexed[:2], 1)[0], tmp_path / "b")
+    def test_merge_rejects_foreign_suites(self, runs):
+        # warm: the one-shard run already cached both cases
+        b = run_shard(
+            partition_cases(runs.indexed[:2], 1)[0], runs.one_cache
+        )
         with pytest.raises(ValueError, match="different suite"):
-            merge_partials([a, b])
+            merge_partials([runs.one, b])
 
     def test_merge_requires_at_least_one_partial(self):
         with pytest.raises(ValueError, match="no shard partials"):
             merge_partials([])
 
-    def test_merge_render_mentions_coverage(self, tmp_path):
-        manifests = partition_cases(_indexed_cases(), 2)
-        partials = [run_shard(m, tmp_path / "cache") for m in manifests]
+    def test_merge_render_mentions_coverage(self, runs):
+        partials = [
+            run_shard(m, runs.one_cache)  # warm
+            for m in partition_cases(runs.indexed, 2)
+        ]
         text = merge_partials(partials).render()
         assert "2/2 shards" in text
         assert "§VII" in text

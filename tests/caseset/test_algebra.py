@@ -203,7 +203,7 @@ MALFORMED = [
     ("graph[chol85] x ul[1.1]", "nearest valid"),
     ("graph[ge1] x ul[1.1]", "nearest valid"),
     ("graph[chol84] x ul[abc]", "numbers"),
-    ("graph[chol84] x ul[0]", "> 0"),
+    ("graph[chol84] x ul[0]", "ul must be finite and >= 1"),
     ("graph[chol84] x ul[0.6-0.1/0.1]", "backwards"),
     ("graph[chol84] x ul[0.1-0.6]", "step"),
     ("graph[chol84] x ul[1.1] x seed[-1]", "integers"),
@@ -215,7 +215,7 @@ MALFORMED = [
     ("graph[chol84] x ul[1.1] x scale[warp]", "scale"),
     ("graph[chol84] x ul[1.1] x scale[quick,paper]", "modifier"),
     ("graph[chol84] x ul[1.1] x n_random[x]", "integer"),
-    ("graph[chol84] x ul[1.1] x grid_n[1]", ">= 2"),
+    ("graph[chol84] x ul[1.1] x grid_n[1]", "grid_n must be >= 8"),
     ("graph[chol84] x ul[1.1] x mc_realizations[0]", ">= 1"),
     ("graph[chol84] x ul[1.1] x fast_conv[maybe]", "boolean"),
     ("graph[chol84] x ul[1.1] x mc_batch[1]", "montecarlo"),

@@ -310,6 +310,16 @@ class TestErrorSurface:
             assert "mesh" in body["detail"]
             assert service.stats.bad_requests == 1
 
+    def test_graph_that_does_not_exist_is_a_counted_400(self, tmp_path):
+        """GE needs b >= 2: the check runs before the task count does."""
+        with serving(_config(tmp_path)) as service:
+            status, _, body = get(service, "/case?kind=ge&param=1&ul=1.1")
+            assert (status, body["error"]) == (400, "bad-request")
+            assert "param" in body["detail"]
+            status, _, stats = get(service, "/stats")
+            assert status == 200
+            assert stats["service"]["bad_requests"] == 1
+
     def test_unknown_parameter_is_a_400(self, tmp_path):
         with serving(_config(tmp_path)) as service:
             status, _, body = get(service, f"/case?{qs(HIT)}&gridn=65")
@@ -328,6 +338,9 @@ class TestErrorSurface:
             {"heuristics": "nope"},
             {"method": "spelde", "fast_conv": "1"},
             {"delta": "nan"},
+            {"delta": "-1"},
+            {"gamma": "0.5"},
+            {"method": "montecarlo", "mc_realizations": "1"},
         ]
         config = _config(tmp_path, deadline_seconds=0.5)
         with serving(config) as service:

@@ -6,13 +6,50 @@ same suite/scale, because the case's content hash is the cache key — any
 drift turns every service request into a cache miss of a different case.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.campaign.spec import expand_suite
+from repro.campaign.spec import CampaignCase, expand_suite
+from repro.caseset import parse
 from repro.experiments.cases import CaseSpec
 from repro.service import CaseSpecError, case_from_query
 
 BASE = {"kind": "cholesky", "param": "3", "ul": "1.1"}
+
+#: (kind, param, case-set graph token) for one graph of each family.
+GRAPHS = [("random", 10, "rand10"), ("cholesky", 3, "chol10"), ("ge", 4, "ge9")]
+
+#: Every modifier spelled three ways: ``/case`` parameters, the case-set
+#: selectors that say the same, and the fields they set on the suite case.
+SPELLINGS = [
+    ({}, [], {}),
+    ({"instance": "3"}, ["seed[3]"], {"instance": 3}),
+    ({"base_seed": "42"}, ["base_seed[42]"], {"base_seed": 42}),
+    ({"method": "dodin"}, ["method[dodin]"], {"method": "dodin"}),
+    (
+        {"method": "montecarlo", "mc_batch": "yes"},
+        ["method[montecarlo]", "mc_batch[1]"],
+        {"method": "montecarlo", "mc_batch": True},
+    ),
+    ({"fast_conv": "1"}, ["fast_conv[on]"], {"fast_conv": True}),
+    ({"n_random": "7"}, ["n_random[7]"], {"n_random": 7}),
+    ({"grid_n": "33"}, ["grid_n[33]"], {"grid_n": 33}),
+    ({"mc_realizations": "99"}, ["mc_realizations[99]"], {"mc_realizations": 99}),
+    (
+        {"delta": "0.2", "gamma": "1.001"},
+        ["delta[0.2]", "gamma[1.001]"],
+        {"delta": 0.2, "gamma": 1.001},
+    ),
+    (
+        {"heuristics": "cpop,heft,cpop"},
+        ["heuristic[cpop,heft]"],
+        {"heuristics": ("cpop", "heft")},
+    ),
+]
+
+#: The fields ``expand_suite`` takes as keywords; the rest are replaced.
+SUITE_KEYWORDS = ("base_seed", "method", "mc_batch", "fast_conv")
 
 
 def query(**extra: str) -> dict[str, str]:
@@ -53,6 +90,40 @@ class TestIdentity:
         case = case_from_query(query(heuristics="heft, bil"))
         assert case.heuristics == ("heft", "bil")
 
+    def test_repeated_heuristics_count_once(self):
+        """A repeated name would put a second HEFT row among the random ones."""
+        once = case_from_query(query(heuristics="heft"))
+        assert case_from_query(query(heuristics="heft,heft")).key == once.key
+        assert case_from_query(query(heuristics="bil,heft,bil")).heuristics == (
+            "bil",
+            "heft",
+        )
+
+    @pytest.mark.parametrize("kind,param,token", GRAPHS)
+    @pytest.mark.parametrize("scale", ["quick", "default", "paper"])
+    @pytest.mark.parametrize(
+        "params,selectors,fields",
+        SPELLINGS,
+        ids=["+".join(p) or "defaults" for p, _, _ in SPELLINGS],
+    )
+    def test_query_term_and_suite_build_one_case(
+        self, kind, param, token, scale, params, selectors, fields
+    ):
+        built = case_from_query(
+            {"kind": kind, "param": str(param), "ul": "1.1", "scale": scale, **params}
+        )
+        term = " x ".join(
+            [f"graph[{token}]", "ul[1.1]", f"scale[{scale}]", *selectors]
+        )
+        (from_term,) = parse(term).cases()
+        fields = dict(fields)
+        spec = CaseSpec(kind, param, 1.1, fields.pop("instance", 0))
+        keywords = {k: fields.pop(k) for k in SUITE_KEYWORDS if k in fields}
+        (suite_case,) = expand_suite([spec], scale, **keywords)
+        expected = dataclasses.replace(suite_case, **fields)
+        assert built == from_term == expected
+        assert built.key == from_term.key == expected.key
+
 
 class TestRejections:
     @pytest.mark.parametrize(
@@ -65,17 +136,26 @@ class TestRejections:
             ({**BASE, "kind": "mesh"}, "kind must be one of"),
             (query(param="0"), "param must be >= 1"),
             (query(param="three"), "param must be an integer"),
-            (query(ul="0"), "ul must be > 0"),
+            (query(ul="0"), "ul must be finite and >= 1"),
             (query(ul="wide"), "ul must be a number"),
             (query(instance="-1"), "instance must be >= 0"),
             (query(scale="galactic"), "galactic"),
             (query(method="oracle"), "method must be one of"),
-            (query(n_random="-5"), "n_random must be >= 0"),
-            (query(grid_n="1"), "grid_n must be >= 2"),
+            (query(n_random="-5"), "n_random must be >= 2"),
+            (query(grid_n="1"), "grid_n must be >= 8"),
             (query(mc_realizations="0"), "mc_realizations must be >= 1"),
             (query(fast_conv="maybe"), "fast_conv must be a boolean"),
-            (query(mc_batch="1"), "mc_batch requires method=montecarlo"),
+            (query(mc_batch="1"), "mc_batch requires method montecarlo"),
             (query(heuristics=", ,"), "at least one heuristic"),
+            # the graph is checked before its task count is computed
+            ({"kind": "ge", "param": "1", "ul": "1.1"}, "param must be >= 2"),
+            # cases the metrics or the Monte Carlo engine cannot evaluate
+            (query(delta="-1"), "delta must be finite and >= 0"),
+            (query(gamma="0.5"), "gamma must be finite and >= 1"),
+            (
+                query(method="montecarlo", mc_realizations="1"),
+                "montecarlo needs mc_realizations >= 2",
+            ),
         ],
         ids=lambda v: v if isinstance(v, str) else "",
     )
@@ -92,6 +172,13 @@ class TestRejections:
     def test_mc_batch_allowed_with_montecarlo(self):
         case = case_from_query(query(method="montecarlo", mc_batch="yes"))
         assert case.mc_batch is True
+
+    def test_case_check_refuses_a_repeated_heuristic(self):
+        case = CampaignCase(
+            CaseSpec("cholesky", 3, 1.1), heuristics=("heft", "heft")
+        )
+        with pytest.raises(ValueError, match="must not repeat"):
+            case.check()
 
     def test_error_is_a_value_error(self):
         # the server relies on CaseSpecError staying a ValueError subtype
