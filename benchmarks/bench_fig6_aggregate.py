@@ -14,10 +14,10 @@ def test_fig6_aggregate(benchmark, report):
     result = run_once(benchmark, fig6_aggregate.run, get_scale(None))
     report(result.render())
     report("Heuristics vs random population (per case):")
-    report(result.heuristic_summary())
+    report(result.aggregate.heuristic_summary())
 
     names = list(METRIC_NAMES)
-    mean = result.mean
+    mean = result.aggregate.mean
 
     def m(a, b):
         return mean[names.index(a), names.index(b)]
@@ -32,4 +32,4 @@ def test_fig6_aggregate(benchmark, report):
     assert m("makespan", "slack_sum") < 0.1               # paper −0.385
     assert abs(m("makespan_std", "rel_prob")) < 0.6       # paper 0.148
     # §VII: oriented R(γ)/E(M) vs σ_M ≈ 0.998.
-    assert result.rel_over_m_vs_std_mean > 0.9
+    assert result.aggregate.rel_mean > 0.9

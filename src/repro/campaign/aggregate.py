@@ -32,6 +32,7 @@ from repro.campaign.spec import CampaignCase
 from repro.core.correlation import pearson
 from repro.core.metrics import METRIC_NAMES
 from repro.core.study import CaseResult
+from repro.util.tables import format_matrix, format_table
 
 __all__ = [
     "CaseContribution",
@@ -170,9 +171,10 @@ def contribution_from_payload(payload: dict) -> CaseContribution:
 class SuiteAggregate:
     """The finalized suite reduction (what Figure 6 renders).
 
-    ``case_rows`` is the percentile column: one ``(case, p50, p95)`` row
-    per folded case with the streamed median/p95 expected makespan of its
-    random-schedule population.
+    ``rel_mean``/``rel_std`` are the §VII statistic: the mean and σ of the
+    per-case ``corr(R(γ)/E(M), σ_M)``.  ``case_rows`` is the percentile
+    column: one ``(case, p50, p95)`` row per folded case with the streamed
+    median/p95 expected makespan of its random-schedule population.
     """
 
     n_cases: int
@@ -182,6 +184,59 @@ class SuiteAggregate:
     rel_std: float
     heuristic_rows: tuple[tuple[str, str, float, float, float, float], ...]
     case_rows: tuple[tuple[str, float, float], ...] = ()
+
+    def render(self, heading: str, suite_size: int) -> str:
+        """The Figure 6 report: mean/σ matrix, §VII line, percentile column.
+
+        The one renderer behind ``fig6``, ``aggregate``, ``campaign merge``
+        and ``campaign sweep``; each passes its own ``heading``.  A
+        ``(partial: n/N cases)`` suffix marks an aggregate that folded
+        fewer than the ``suite_size`` cases it was asked for.
+        """
+        suffix = "" if self.n_cases == suite_size else (
+            f" (partial: {self.n_cases}/{suite_size} cases)"
+        )
+        lines = [
+            f"{heading} (upper: mean, lower: std. dev.){suffix}",
+            format_matrix(self.mean, list(METRIC_NAMES), lower=self.std),
+            "",
+            "§VII derived metric: corr( R(γ)/E(M), σ_M ) = "
+            f"{self.rel_mean:+.3f} ± {self.rel_std:.3f} "
+            "(paper: 0.998 ± 0.009)",
+        ]
+        if self.case_rows:
+            lines += [
+                "",
+                "Per-case percentile column (P²-streamed over the random "
+                "population):",
+                self.percentile_summary(),
+            ]
+        return "\n".join(lines)
+
+    def percentile_summary(self) -> str:
+        """Per-case percentile column: streamed p50/p95 random makespan.
+
+        The median and 95th percentile of each case's random-schedule
+        expected makespans, estimated by the O(1)-memory
+        :class:`~repro.analysis.streaming.P2Quantile` during aggregation
+        (no panels required).
+        """
+        rows = [
+            (name, f"{p50:.1f}", f"{p95:.1f}") for name, p50, p95 in self.case_rows
+        ]
+        return format_table(["case", "p50(M)", "p95(M)"], rows)
+
+    def heuristic_summary(self) -> str:
+        """How often each heuristic beats the random population (per case).
+
+        Computed from the per-case summary rows folded during aggregation
+        (no panels required).
+        """
+        return format_table(
+            ["case", "heuristic", "makespan", "frac rand better (M)",
+             "σ_M", "frac rand better (σ)"],
+            list(self.heuristic_rows),
+        )
 
 
 def suite_aggregate_to_payload(agg: SuiteAggregate) -> dict:

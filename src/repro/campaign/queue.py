@@ -980,7 +980,6 @@ def queue_worker(
     *,
     force: bool = False,
     reap: bool = True,
-    once: bool = False,
     wait: bool = True,
     forever: bool = False,
     stop: threading.Event | None = None,
@@ -1000,16 +999,15 @@ def queue_worker(
 
     ``reap`` lets the worker double as a reaper when idle (safe from any
     number of processes), so a coordinatorless fleet still self-heals.
-    ``once`` returns after the first completed task; ``wait=False``
-    returns as soon as nothing is claimable instead of polling until the
-    queue completes; ``forever`` keeps polling even when every enqueued
-    task is done — the service-fleet mode, where new single-case tasks
-    arrive at any time.  ``stop`` requests a graceful exit: the worker
-    finishes (or, mid-shard, releases) its current claim and returns —
-    SIGTERM handlers set it so a drained claim is immediately claimable
-    by the rest of the fleet.  ``injector`` (or, for subprocess workers,
-    ``REPRO_QUEUE_FAULT`` when ``env_faults``) drives the deterministic
-    fault seams.
+    ``wait=False`` returns as soon as nothing is claimable instead of
+    polling until the queue completes; ``forever`` keeps polling even when
+    every enqueued task is done — the service-fleet mode, where new
+    single-case tasks arrive at any time.  ``stop`` requests a graceful
+    exit: the worker finishes (or, mid-shard, releases) its current claim
+    and returns — SIGTERM handlers set it so a drained claim is
+    immediately claimable by the rest of the fleet.  ``injector`` (or, for
+    subprocess workers, ``REPRO_QUEUE_FAULT`` when ``env_faults``) drives
+    the deterministic fault seams.
     """
     if not isinstance(queue, WorkQueue):
         queue = WorkQueue(pathlib.Path(queue))
@@ -1037,12 +1035,10 @@ def queue_worker(
             report.claimed += 1
             if injector is not None:
                 injector.on_claimed(task_id)
-            ok = _run_claimed_task(
+            _run_claimed_task(
                 queue, task_id, cache, force, injector, report, stop
             )
             progressed = True
-            if ok and once:
-                return report
             break  # rescan: the queue may have changed under us
         if progressed:
             continue
@@ -1069,8 +1065,8 @@ def _run_claimed_task(
     injector: FaultInjector | None,
     report: WorkerReport,
     stop: threading.Event | None = None,
-) -> bool:
-    """Execute one claimed shard; True when its partial landed.
+) -> None:
+    """Execute one claimed shard and land its partial.
 
     With ``stop`` set mid-shard the worker aborts after the current case
     and *releases* the claim (no attempt tombstone — a graceful drain is
@@ -1082,7 +1078,7 @@ def _run_claimed_task(
     except (OSError, ValueError, KeyError, TypeError) as exc:
         queue.fail(task_id, f"unreadable manifest: {exc}")
         report.failed += 1
-        return False
+        return
 
     n_done = 0
     heartbeat = _HeartbeatThread(queue, task_id)
@@ -1107,13 +1103,13 @@ def _run_claimed_task(
         if stop is not None and stop.is_set() and not heartbeat.lost:
             queue.release(task_id)  # graceful drain, not a failed attempt
             report.released += 1
-            return False
+            return
         report.lost_lease += 1
-        return False
+        return
     except Exception as exc:  # noqa: BLE001 - a task must not kill the loop
         queue.fail(task_id, f"{type(exc).__name__}: {exc}")
         report.failed += 1
-        return False
+        return
     finally:
         heartbeat.stop()
     if injector is not None:
@@ -1122,7 +1118,6 @@ def _run_claimed_task(
     report.completed += 1
     report.computed += partial.computed
     report.cached += partial.cached
-    return True
 
 
 # ---------------------------------------------------------------------- #

@@ -57,10 +57,8 @@ from repro.campaign.aggregate import (
 )
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
-from repro.core.metrics import METRIC_NAMES
 from repro.io.atomic import write_atomic
 from repro.io.json_io import canonical_json, payload_digest
-from repro.util.tables import format_matrix, format_table
 
 __all__ = [
     "MergeResult",
@@ -354,32 +352,11 @@ class MergeResult:
 
     def render(self) -> str:
         """Fig. 6-style report of the merged aggregate."""
-        agg = self.aggregate
-        suffix = "" if agg.n_cases == self.suite_size else (
-            f" (partial: {agg.n_cases}/{self.suite_size} cases)"
+        return self.aggregate.render(
+            f"Merged aggregate — {self.aggregate.n_cases} cases from "
+            f"{len(self.shards_present)}/{self.n_shards} shards",
+            self.suite_size,
         )
-        lines = [
-            f"Merged aggregate — {agg.n_cases} cases from "
-            f"{len(self.shards_present)}/{self.n_shards} shards "
-            f"(upper: mean, lower: std. dev.){suffix}",
-            format_matrix(agg.mean, list(METRIC_NAMES), lower=agg.std),
-            "",
-            "§VII derived metric: corr( R(γ)/E(M), σ_M ) = "
-            f"{agg.rel_mean:+.3f} ± {agg.rel_std:.3f} "
-            "(paper: 0.998 ± 0.009)",
-        ]
-        if agg.case_rows:
-            rows = [
-                (name, f"{p50:.1f}", f"{p95:.1f}")
-                for name, p50, p95 in agg.case_rows
-            ]
-            lines += [
-                "",
-                "Per-case percentile column (P²-streamed over the random "
-                "population):",
-                format_table(["case", "p50(M)", "p95(M)"], rows),
-            ]
-        return "\n".join(lines)
 
 
 def merge_partials(partials: Sequence[ShardPartial]) -> MergeResult:

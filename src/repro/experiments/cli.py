@@ -114,17 +114,18 @@ per-request deadline.  Overload sheds with 429 + ``Retry-After``;
 Case-set sweeps
 ---------------
 ``campaign sweep`` selects a whole suite with one case-set expression
-(see :mod:`repro.caseset`) and aggregates it — computing only what the
-cache does not already hold::
+(see :mod:`repro.caseset`) and aggregates it through the fig-6 runner
+— computing only what the cache does not already hold::
 
     repro-experiments campaign sweep \\
         'graph[chol84,ge90] x ul[1.1-1.6/0.1] x seed[0-9]' \\
         --cache-dir cache/ --jobs 4 --json sweep.json
 
 ``--fold`` prints the canonical compact form, ``--expand`` lists the
-expanded cases, and ``--from-cache`` aggregates only what is already
-cached (exit 1 + the *missing subset folded back to an expression* when
-incomplete — paste it straight into the next sweep).  The same resolver
+expanded cases, and ``--from-cache`` replays the same report from what
+is already cached (exit 1 + the *missing subset folded back to an
+expression* when incomplete, the whole expression and no report when
+nothing has landed — paste it into the next sweep).  The same resolver
 backs ``GET /sweep?expr=...`` on the service, which streams incremental
 aggregate updates (SSE or NDJSON) while the fleet computes the cold
 subset; ``campaign queue-status --json`` exposes machine-readable queue
@@ -171,9 +172,9 @@ _CAMPAIGN_FIGURES = ("fig3", "fig4", "fig5", "fig6")
 def _write_aggregate_json(path: pathlib.Path, aggregate) -> None:
     """Dump a suite aggregate as canonical JSON (one trailing newline).
 
-    The single writer behind both ``--json`` sites (figure run and
-    ``campaign merge``): the files are byte-compared by CI and users, so
-    the encoding must never diverge between them.
+    The single writer behind every ``--json`` site (figure run,
+    ``campaign merge`` and ``campaign sweep``): the files are
+    byte-compared by CI and users, so the encoding must never diverge.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(suite_aggregate_to_payload(aggregate)) + "\n")
@@ -389,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{name} done in {elapsed:.1f}s at scale={scale.name}]")
         if name == "aggregate":
             print(
-                f"[aggregate {cache_dir}: {result.n_cases}/{len(result.specs)} "
+                f"[aggregate {cache_dir}: {result.aggregate.n_cases}/"
+                f"{result.suite_size} "
                 "cases summarized, nothing recomputed]"
             )
         if cache is not None and name in _CAMPAIGN_FIGURES:
@@ -511,11 +513,6 @@ def _campaign_main(argv: list[str]) -> int:
         action="store_true",
         help="never requeue stale claims from this worker (a coordinator "
         "owns the reaper)",
-    )
-    p_qworker.add_argument(
-        "--once",
-        action="store_true",
-        help="exit after completing one shard",
     )
     p_qworker.add_argument(
         "--no-wait",
@@ -716,7 +713,6 @@ def _campaign_main(argv: list[str]) -> int:
             worker_id=args.worker_id,
             force=args.force,
             reap=not args.no_reap,
-            once=args.once,
             wait=not args.no_wait,
             forever=args.forever,
             stop=stop,
@@ -763,50 +759,47 @@ def _campaign_main(argv: list[str]) -> int:
                 print(case.name)
             print(f"[{len(cases)} case(s) — {caseset.fold()}]")
             return 0
+        if not cases:
+            parser.error(f"expression selects no cases: {args.expr!r}")
+        if args.from_cache and not args.cache_dir.is_dir():
+            parser.error(f"cache directory {args.cache_dir} does not exist")
+        cache = ArtifactCache(args.cache_dir)
+        fold = caseset.fold()
+        missing = None
         if args.from_cache:
-            if not args.cache_dir.is_dir():
-                parser.error(
-                    f"cache directory {args.cache_dir} does not exist"
-                )
-            cache = ArtifactCache(args.cache_dir)
-            missing = caseset - caseset.subset(
-                c.key for c in cases if cache.has(c)
-            )
             try:
                 result = fig6_aggregate.aggregate_from_cache(
                     cases=cases, cache=cache
                 )
-            except ValueError as exc:
-                parser.error(str(exc))
-            print(result.render())
-            print(
-                f"[sweep {caseset.fold()}: {result.n_cases}/{len(cases)} "
-                f"case(s) aggregated from {args.cache_dir}, "
-                "nothing recomputed]"
-            )
-            if args.json is not None:
-                _write_aggregate_json(args.json, result.suite_aggregate())
-            if missing:
-                print(f"[missing: {missing.fold()}]")
+            except ValueError:
+                # No artifact of this sweep is readable: all of it is missing.
+                print(f"[missing: {fold}]")
                 return 1
-            return 0
-        # Compute path: one single-shard manifest through the campaign
-        # runner — cached cases load, missing ones compute, and the merged
-        # aggregate folds in case order, identically to the service's
-        # streamed sweep over the same expression.
-        manifest = partition_cases(list(enumerate(cases)), 1)[0]
-        partial = run_shard(
-            manifest, args.cache_dir, jobs=args.jobs, force=args.force
-        )
-        merged = merge_partials([partial])
-        print(merged.render())
-        print(
-            f"[sweep {caseset.fold()}: "
-            f"{merged.aggregate.n_cases}/{len(cases)} case(s), "
-            f"{merged.computed} computed, {merged.cached} cached]"
-        )
+            missing = caseset - caseset.subset(
+                c.key for c in cases if cache.has(c)
+            )
+            tail = f" aggregated from {args.cache_dir}, nothing recomputed"
+        else:
+            # Cached cases load and missing ones compute, folded in case
+            # order exactly as the replay above and the service's streamed
+            # sweep fold the same expression.
+            result = fig6_aggregate.run(
+                cases=cases, jobs=args.jobs, cache=cache, force=args.force
+            )
+            # The cache object is this sweep's own, so its counters are the
+            # sweep's: one store per computed case, one hit per cached one.
+            tail = f", {cache.stats.stores} computed, {cache.stats.hits} cached"
+        agg = result.aggregate
+        print(agg.render(
+            f"Sweep {fold} — Pearson coefficients over {agg.n_cases} cases",
+            len(cases),
+        ))
+        print(f"[sweep {fold}: {agg.n_cases}/{len(cases)} case(s){tail}]")
         if args.json is not None:
-            _write_aggregate_json(args.json, merged.aggregate)
+            _write_aggregate_json(args.json, agg)
+        if missing:
+            print(f"[missing: {missing.fold()}]")
+            return 1
         return 0
 
     # verify-cache

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.campaign import ArtifactCache, Campaign, CampaignCase, ExecutionBackend
-from repro.core.correlation import pearson
+from repro.campaign import (
+    ArtifactCache, Campaign, CampaignCase, ExecutionBackend, case_contribution,
+)
 from repro.core.study import CaseResult
 from repro.experiments.cases import CaseSpec
 from repro.experiments.scale import Scale, get_scale
@@ -78,11 +77,10 @@ def run_panel(
     artifact hashes to a different key, so caches never collide).
     """
     scale = get_scale(scale)
-    n_random = scale.n_random(spec.n_tasks)
     campaign_case = CampaignCase(
         spec=spec,
         base_seed=seed,
-        n_random=n_random,
+        n_random=scale.n_random(spec.n_tasks),
         grid_n=scale.grid_n,
         fast_conv=fast_conv,
     )
@@ -90,15 +88,12 @@ def run_panel(
         (campaign_case,), jobs=jobs, cache=cache, force=force, backend=backend
     )
     case = campaign.run()[0]
-    # §VII: R(γ)/E(M) against σ_M over the random schedules only.
-    k = n_random
-    rel_over_m = case.panel.oriented_rel_prob_over_makespan()[:k]
-    std = case.panel.column("makespan_std")[:k]
     return PanelResult(
         figure=figure,
         spec=spec,
         case=case,
-        rel_prob_over_m_vs_std=pearson(rel_over_m, std),
+        # §VII: R(γ)/E(M) against σ_M over the random schedules only.
+        rel_prob_over_m_vs_std=case_contribution(0, campaign_case, case).rel_corr,
     )
 
 

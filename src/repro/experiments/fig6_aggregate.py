@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.campaign import (
     ArtifactCache,
     Campaign,
@@ -33,8 +31,6 @@ from repro.campaign import (
 )
 from repro.experiments.cases import CaseSpec, default_suite
 from repro.experiments.scale import Scale, get_scale
-from repro.core.metrics import METRIC_NAMES
-from repro.util.tables import format_matrix, format_table
 
 __all__ = ["Fig6Result", "run", "aggregate_from_cache"]
 
@@ -43,44 +39,23 @@ __all__ = ["Fig6Result", "run", "aggregate_from_cache"]
 class Fig6Result:
     """Aggregated Pearson statistics over the case suite.
 
-    The summary statistics are folded case by case and the raw panels are
-    dropped, so memory stays O(1) in the suite size.  ``n_cases`` counts
-    the cases actually aggregated — it can be smaller than ``len(specs)``
-    when summarizing the cache of an interrupted sweep, in which case the
-    statistics are the exact aggregate of the completed cases.
+    ``aggregate`` is the streamed suite reduction — its panels were
+    dropped case by case, so memory stays O(1) in the suite size.
+    ``suite_size`` is the length of the case list that was folded;
+    ``aggregate.n_cases`` can be smaller when summarizing the cache of an
+    interrupted sweep, in which case the statistics are the exact
+    aggregate of the completed cases.
     """
 
-    specs: tuple[CaseSpec, ...]
-    mean: np.ndarray
-    std: np.ndarray
-    rel_over_m_vs_std_mean: float
-    rel_over_m_vs_std_std: float
-    n_cases: int
-    heuristic_rows: tuple[tuple[str, str, float, float, float, float], ...]
-    case_rows: tuple[tuple[str, float, float], ...] = ()
+    aggregate: SuiteAggregate
+    suite_size: int
 
     def render(self) -> str:
         """Figure 6 as a combined mean/σ matrix plus the §VII statistic."""
-        suffix = "" if self.n_cases == len(self.specs) else (
-            f" (partial: {self.n_cases}/{len(self.specs)} cases)"
+        return self.aggregate.render(
+            f"Fig. 6 — Pearson coefficients over {self.aggregate.n_cases} cases",
+            self.suite_size,
         )
-        lines = [
-            f"Fig. 6 — Pearson coefficients over {self.n_cases} cases "
-            f"(upper: mean, lower: std. dev.){suffix}",
-            format_matrix(self.mean, list(METRIC_NAMES), lower=self.std),
-            "",
-            "§VII derived metric: corr( R(γ)/E(M), σ_M ) = "
-            f"{self.rel_over_m_vs_std_mean:+.3f} ± {self.rel_over_m_vs_std_std:.3f} "
-            "(paper: 0.998 ± 0.009)",
-        ]
-        if self.case_rows:
-            lines += [
-                "",
-                "Per-case percentile column (P²-streamed over the random "
-                "population):",
-                self.percentile_summary(),
-            ]
-        return "\n".join(lines)
 
     def suite_aggregate(self) -> SuiteAggregate:
         """This result's statistics as a :class:`SuiteAggregate`.
@@ -89,56 +64,7 @@ class Fig6Result:
         output dumps it, and CI byte-compares it between a single-process
         run and a shard/worker/merge round trip.
         """
-        return SuiteAggregate(
-            n_cases=self.n_cases,
-            mean=self.mean,
-            std=self.std,
-            rel_mean=self.rel_over_m_vs_std_mean,
-            rel_std=self.rel_over_m_vs_std_std,
-            heuristic_rows=self.heuristic_rows,
-            case_rows=self.case_rows,
-        )
-
-    def percentile_summary(self) -> str:
-        """Per-case percentile column: streamed p50/p95 random makespan.
-
-        The ROADMAP follow-up column — the median and 95th percentile of
-        each case's random-schedule expected makespans, estimated by the
-        O(1)-memory :class:`~repro.analysis.streaming.P2Quantile` during
-        aggregation (no panels required).
-        """
-        rows = [
-            (name, f"{p50:.1f}", f"{p95:.1f}") for name, p50, p95 in self.case_rows
-        ]
-        return format_table(["case", "p50(M)", "p95(M)"], rows)
-
-    def heuristic_summary(self) -> str:
-        """How often each heuristic beats the random population (per case).
-
-        Computed from the per-case summary rows folded during aggregation
-        (no panels required).
-        """
-        return format_table(
-            ["case", "heuristic", "makespan", "frac rand better (M)",
-             "σ_M", "frac rand better (σ)"],
-            list(self.heuristic_rows),
-        )
-
-
-def _result_from_aggregate(
-    specs: list[CaseSpec], aggregator: SuiteAggregator
-) -> Fig6Result:
-    agg = aggregator.finalize()
-    return Fig6Result(
-        specs=tuple(specs),
-        mean=agg.mean,
-        std=agg.std,
-        rel_over_m_vs_std_mean=agg.rel_mean,
-        rel_over_m_vs_std_std=agg.rel_std,
-        n_cases=agg.n_cases,
-        heuristic_rows=agg.heuristic_rows,
-        case_rows=agg.case_rows,
-    )
+        return self.aggregate
 
 
 def run(
@@ -150,6 +76,7 @@ def run(
     force: bool = False,
     backend: ExecutionBackend | None = None,
     fast_conv: bool = False,
+    cases: list[CampaignCase] | None = None,
 ) -> Fig6Result:
     """Run the case suite and aggregate the Pearson matrices.
 
@@ -167,22 +94,22 @@ def run(
 
     ``fast_conv=True`` runs the suite under the fast grid-algebra
     precision policy (classical/Dodin only); its cases hash to different
-    artifact keys, so fast and exact caches never collide.
+    artifact keys, so fast and exact caches never collide.  With ``cases``
+    given (a :meth:`repro.caseset.CaseSet.cases` expansion), the
+    suite-expansion step is bypassed and exactly that ordered case list
+    runs — the ``campaign sweep`` compute path.
     """
-    scale = get_scale(scale)
-    if specs is None:
-        specs = default_suite()
+    if cases is None:
+        if specs is None:
+            specs = default_suite()
+        cases = expand_suite(specs, scale, base_seed=seed, fast_conv=fast_conv)
     campaign = Campaign(
-        expand_suite(specs, scale, base_seed=seed, fast_conv=fast_conv),
-        jobs=jobs,
-        cache=cache,
-        force=force,
-        backend=backend,
+        cases, jobs=jobs, cache=cache, force=force, backend=backend
     )
     aggregator = SuiteAggregator()
     for index, case, result in campaign.iter_results():
         aggregator.add_case(index, case, result)
-    return _result_from_aggregate(specs, aggregator)
+    return Fig6Result(aggregator.finalize(), len(cases))
 
 
 def aggregate_from_cache(
@@ -191,7 +118,7 @@ def aggregate_from_cache(
     specs: list[CaseSpec] | None = None,
     cache: ArtifactCache | None = None,
     fast_conv: bool = False,
-    cases: "list[CampaignCase] | None" = None,
+    cases: list[CampaignCase] | None = None,
 ) -> Fig6Result:
     """Summarize an existing campaign cache — no case is ever recomputed.
 
@@ -200,8 +127,8 @@ def aggregate_from_cache(
     aggregator in the same order, and drops it — peak memory is one panel.
     On a complete cache the result is bit-identical to :func:`run`; on the
     cache of an interrupted sweep the aggregate is exact for the cases that
-    completed (``n_cases`` reports how many), and missing cases are simply
-    skipped.
+    completed (``aggregate.n_cases`` reports how many), and missing cases
+    are simply skipped.
 
     With ``cases`` given (e.g. a :meth:`repro.caseset.CaseSet.cases`
     expansion), the suite-expansion step is bypassed and the fold runs
@@ -213,11 +140,14 @@ def aggregate_from_cache(
     """
     if cache is None:
         raise ValueError("aggregate_from_cache requires an artifact cache")
-    scale = get_scale(scale)
-    if specs is None:
-        specs = default_suite()
     if cases is None:
+        scale = get_scale(scale)
+        if specs is None:
+            specs = default_suite()
         cases = expand_suite(specs, scale, base_seed=seed, fast_conv=fast_conv)
+        looked_for = f"this suite (scale={scale.name}, seed={seed})"
+    else:
+        looked_for = f"the {len(cases)} requested case(s)"
     # Cache iteration visits cases in case order, so immediate folding
     # (ordered=False) follows the same canonical fold sequence as `run` —
     # while tolerating holes left by interrupted sweeps.
@@ -225,8 +155,6 @@ def aggregate_from_cache(
     for index, case, result in cache.iter_results(cases):
         aggregator.add_case(index, case, result)
     if aggregator.n_cases == 0:
-        raise ValueError(
-            f"no artifacts of this suite (scale={scale.name}, seed={seed}) "
-            f"found in {cache.root}"
-        )
-    return _result_from_aggregate(specs, aggregator)
+        raise ValueError(f"no artifacts of {looked_for} found in {cache.root}")
+    return Fig6Result(aggregator.finalize(), len(cases))
+

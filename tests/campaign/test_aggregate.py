@@ -53,10 +53,11 @@ def _fake_case_and_result(index: int, n_random: int = 50) -> tuple[CampaignCase,
 
 
 def assert_fig6_results_identical(a, b):
+    a, b = a.aggregate, b.aggregate
     assert np.array_equal(a.mean, b.mean, equal_nan=True)
     assert np.array_equal(a.std, b.std, equal_nan=True)
-    assert a.rel_over_m_vs_std_mean == b.rel_over_m_vs_std_mean
-    assert a.rel_over_m_vs_std_std == b.rel_over_m_vs_std_std
+    assert a.rel_mean == b.rel_mean
+    assert a.rel_std == b.rel_std
     assert a.heuristic_rows == b.heuristic_rows
     assert a.n_cases == b.n_cases
 
@@ -74,7 +75,7 @@ class TestFig6Streaming:
         assert_fig6_results_identical(parallel, from_cache)
         assert from_cache.render() == parallel.render()
         assert "Fig. 6" in from_cache.render()
-        assert "heuristic" in from_cache.heuristic_summary()
+        assert "heuristic" in from_cache.aggregate.heuristic_summary()
 
     def test_partial_cache_aggregates_completed_cases_exactly(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
@@ -83,20 +84,39 @@ class TestFig6Streaming:
         cases = expand_suite(SPECS, TINY)
         cache.path_for(cases[1]).unlink()
         partial = fig6_aggregate.aggregate_from_cache(TINY, specs=SPECS, cache=cache)
-        assert partial.n_cases == 2
+        assert partial.aggregate.n_cases == 2
         assert "partial: 2/3" in partial.render()
         # Exact: equal to aggregating only the completed cases in-memory.
         reference = fig6_aggregate.run(
             TINY, specs=[SPECS[0], SPECS[2]], cache=cache
         )
+        partial, reference = partial.aggregate, reference.aggregate
         assert np.array_equal(partial.mean, reference.mean, equal_nan=True)
         assert np.array_equal(partial.std, reference.std, equal_nan=True)
-        assert partial.rel_over_m_vs_std_mean == reference.rel_over_m_vs_std_mean
+        assert partial.rel_mean == reference.rel_mean
+
+    def test_case_list_is_its_own_suite(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "cache")
+        fig6_aggregate.run(TINY, specs=SPECS, cache=cache)
+        cases = expand_suite(SPECS, TINY)
+        # 3 of the 3 cases asked for, not 3 of the 24-case fig-6 suite.
+        result = fig6_aggregate.aggregate_from_cache(cases=cases, cache=cache)
+        assert "(partial:" not in result.render()
+        assert result.suite_size == result.aggregate.n_cases == 3
+        assert_fig6_results_identical(
+            fig6_aggregate.run(cases=cases, cache=cache), result
+        )
+        cache.path_for(cases[0]).unlink()
+        result = fig6_aggregate.aggregate_from_cache(cases=cases, cache=cache)
+        assert "(partial: 2/3 cases)" in result.render()
 
     def test_empty_cache_rejected(self, tmp_path):
         cache = ArtifactCache(tmp_path / "empty")
         with pytest.raises(ValueError, match="no artifacts"):
             fig6_aggregate.aggregate_from_cache(TINY, specs=SPECS, cache=cache)
+        cases = expand_suite(SPECS, TINY)
+        with pytest.raises(ValueError, match=r"of the 3 requested case\(s\) found in"):
+            fig6_aggregate.aggregate_from_cache(cases=cases, cache=cache)
         with pytest.raises(ValueError, match="artifact cache"):
             fig6_aggregate.aggregate_from_cache(TINY, specs=SPECS, cache=None)
 
@@ -247,11 +267,11 @@ class TestPercentileColumn:
         from_cache = fig6_aggregate.aggregate_from_cache(
             TINY, specs=SPECS, cache=cache
         )
-        assert run.case_rows == from_cache.case_rows
-        assert len(run.case_rows) == len(SPECS)
-        table = run.percentile_summary()
+        assert run.aggregate.case_rows == from_cache.aggregate.case_rows
+        assert len(run.aggregate.case_rows) == len(SPECS)
+        table = run.aggregate.percentile_summary()
         assert "p50(M)" in table and "p95(M)" in table
-        for name, p50, p95 in run.case_rows:
+        for name, p50, p95 in run.aggregate.case_rows:
             assert name in table
             assert 0.0 < p50 <= p95
-        assert run.percentile_summary() in run.render()
+        assert table in run.render()

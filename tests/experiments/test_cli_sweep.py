@@ -86,6 +86,62 @@ class TestSweepSubcommand:
             EXPR.replace("seed[0-1]", "seed[1]")
         ).keys()
 
+    def test_compute_and_replay_print_one_complete_report(
+        self, capsys, tmp_path
+    ):
+        argv = ["campaign", "sweep", EXPR, "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        computed = capsys.readouterr().out
+        assert main(argv + ["--from-cache"]) == 0
+        replayed = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert main(argv + ["--force"]) == 0
+        forced = capsys.readouterr().out
+
+        def report(out):
+            return out[: out.index("[sweep ")]
+
+        # A complete 2-case sweep is not a partial fig-6 suite, and both
+        # paths print the same heading, naming the expression.
+        assert report(computed) == report(replayed) == report(warm)
+        assert report(computed).startswith(f"Sweep {parse(EXPR).fold()} — ")
+        assert "(partial:" not in computed + replayed
+        assert "2/2 case(s), 2 computed, 0 cached]" in computed
+        assert "2/2 case(s) aggregated from" in replayed
+        assert "2/2 case(s), 0 computed, 2 cached]" in warm
+        assert "2/2 case(s), 2 computed, 0 cached]" in forced
+
+    def test_from_cache_with_nothing_landed_reports_everything_missing(
+        self, capsys, tmp_path
+    ):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out_json = tmp_path / "agg.json"
+        assert main(
+            ["campaign", "sweep", EXPR, "--cache-dir", str(empty),
+             "--from-cache", "--json", str(out_json)]
+        ) == 1
+        out = capsys.readouterr().out
+        # No aggregate, no --json file: only the missing subset.
+        assert out.splitlines()[0].startswith("[missing: ")
+        assert "Pearson" not in out and not out_json.exists()
+        expr = out.split("missing:", 1)[1].strip()[:-1]
+        assert parse(expr).keys() == parse(EXPR).keys()
+        # A cache directory that does not exist stays a usage error.
+        with pytest.raises(SystemExit) as err:
+            main(["campaign", "sweep", EXPR, "--cache-dir",
+                  str(tmp_path / "nope"), "--from-cache"])
+        assert err.value.code == 2
+
+    def test_expression_selecting_no_case_exits_2(self, capsys, tmp_path):
+        term = "graph[rand10] x ul[1.1]"
+        with pytest.raises(SystemExit) as err:
+            main(["campaign", "sweep", f"{term} ! {term}", "--cache-dir",
+                  str(tmp_path / "cache")])
+        assert err.value.code == 2
+        assert "selects no cases" in capsys.readouterr().err
+
     def test_malformed_expression_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["campaign", "sweep", "graph[chol84] x ul[oops]", "--fold"])

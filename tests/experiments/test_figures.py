@@ -93,17 +93,18 @@ class TestFig6:
             CaseSpec("random", 10, 1.1),
         ]
         res = fig6_aggregate.run(TINY, specs=specs)
-        assert res.mean.shape == (8, 8)
+        agg = res.aggregate
+        assert agg.mean.shape == (8, 8)
         names = list(
             __import__("repro.core.metrics", fromlist=["METRIC_NAMES"]).METRIC_NAMES
         )
         i = names.index("makespan_std")
         j = names.index("lateness")
-        assert res.mean[i, j] > 0.95
-        assert res.std[i, j] < 0.2
-        assert res.rel_over_m_vs_std_mean > 0.9
+        assert agg.mean[i, j] > 0.95
+        assert agg.std[i, j] < 0.2
+        assert agg.rel_mean > 0.9
         assert "Fig. 6" in res.render()
-        assert "heuristic" in res.heuristic_summary()
+        assert "heuristic" in agg.heuristic_summary()
 
 
 class TestFig78:
