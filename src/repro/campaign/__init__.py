@@ -42,7 +42,7 @@ from repro.campaign.queue import (
     WorkerReport,
     queue_worker,
 )
-from repro.campaign.runner import Campaign, CampaignStats
+from repro.campaign.runner import Campaign
 from repro.campaign.shard import (
     MergeResult,
     PartialOverlapError,
@@ -62,7 +62,6 @@ __all__ = [
     "CacheStats",
     "Campaign",
     "CampaignCase",
-    "CampaignStats",
     "CaseContribution",
     "ExecutionBackend",
     "FaultInjector",

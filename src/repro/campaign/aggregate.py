@@ -175,6 +175,7 @@ class SuiteAggregate:
     per-case ``corr(R(γ)/E(M), σ_M)``.  ``case_rows`` is the percentile
     column: one ``(case, p50, p95)`` row per folded case with the streamed
     median/p95 expected makespan of its random-schedule population.
+    ``indices`` are the suite indices of the folded cases.
     """
 
     n_cases: int
@@ -184,6 +185,7 @@ class SuiteAggregate:
     rel_std: float
     heuristic_rows: tuple[tuple[str, str, float, float, float, float], ...]
     case_rows: tuple[tuple[str, float, float], ...] = ()
+    indices: frozenset[int] = frozenset()
 
     def render(self, heading: str, suite_size: int) -> str:
         """The Figure 6 report: mean/σ matrix, §VII line, percentile column.
@@ -351,4 +353,5 @@ class SuiteAggregator:
             rel_std=float(self.rel.std()),
             heuristic_rows=tuple(self._rows),
             case_rows=tuple(self._case_rows),
+            indices=frozenset(self._indices),
         )

@@ -15,8 +15,8 @@ else off a backend:
   together with the campaign's artifact cache and force policy;
 * :meth:`~ExecutionBackend.as_completed` yields ``(index, case, result)``
   triples as cases finish, in whatever order the backend completes them;
-* a few declared attributes report back what the batch did
-  (``persists_results``, ``worker_cached`` and the fleet-health counters).
+* ``persists_results`` declares whether those results are already in the
+  cache, and ``workers`` how many workers the batch may use.
 
 Because every case derives its RNG stream from its own fields, **any**
 backend produces bit-identical :class:`~repro.core.study.CaseResult`
@@ -95,27 +95,15 @@ class ExecutionBackend(Protocol):
 
     A backend is handed the pending work once per campaign run via
     :meth:`submit` and then drained via :meth:`as_completed`; backends are
-    reusable (each ``submit`` starts a fresh batch and resets the
-    counters below).  Yielded results must be bit-identical to
-    ``case.run()`` in the parent process — the campaign determinism
-    guarantee — but may arrive in any order.
+    reusable (each ``submit`` starts a fresh batch).  Yielded results must
+    be bit-identical to ``case.run()`` in the parent process — the
+    campaign determinism guarantee — but may arrive in any order.
     """
 
-    name: str
     #: True when the yielded results are already stored in the cache
     #: handed to :meth:`submit` (out-of-process workers write artifacts
     #: themselves), so the campaign skips its byte-identical re-store.
     persists_results: bool
-    #: Results of the current batch that the backend's workers loaded
-    #: from a cache instead of computing; the campaign counts them as
-    #: cached, not computed.
-    worker_cached: int
-    #: Fleet health of the current batch: shards requeued after a stale
-    #: lease, shards poisoned past their retry budget, and replacement
-    #: workers spawned.  Always 0 for in-process backends.
-    requeued: int
-    poisoned: int
-    respawned: int
 
     @property
     def workers(self) -> int:
@@ -147,12 +135,10 @@ class ExecutionBackend(Protocol):
 class _InProcessBackend:
     """Shared state of the backends whose results come back to the parent.
 
-    The campaign stores what they yield, and there is no fleet to report
-    on, so every declared counter stays 0.
+    The campaign stores what they yield.
     """
 
     persists_results = False
-    worker_cached = requeued = poisoned = respawned = 0
 
     def __init__(self) -> None:
         self._pending: list[tuple[int, CampaignCase]] = []
@@ -178,7 +164,6 @@ class SerialBackend(_InProcessBackend):
     every other backend must reproduce its results bit-for-bit.
     """
 
-    name = "serial"
     workers = 1
 
     def as_completed(self) -> Generator[Completion, None, None]:
@@ -204,8 +189,6 @@ class ProcessPoolBackend(_InProcessBackend):
     (``GeneratorExit``) or Ctrl-C cancels the queued futures instead of
     draining them; everything already yielded stays yielded.
     """
-
-    name = "process"
 
     def __init__(self, jobs: int = 2):
         if jobs < 1:

@@ -71,7 +71,7 @@ import tempfile
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     Callable, Generator, Iterable, Iterator, Mapping, Sequence, TextIO,
 )
@@ -676,37 +676,13 @@ class WorkQueue:
                 continue
         return out
 
-    def status(self) -> QueueStatus:
-        """Count the tasks in each state."""
-        ids = self.task_ids()
-        done = sum(1 for t in ids if self.has_partial(t))
-        poisoned = sum(
-            1 for t in ids if self.is_poisoned(t) and not self.has_partial(t)
-        )
-        claimed = sum(
-            1
-            for t in ids
-            if self.claim_path(t).exists() and not self.has_partial(t)
-        )
-        return QueueStatus(
-            total=len(ids),
-            done=done,
-            claimed=claimed,
-            open=len(ids) - done - poisoned - claimed,
-            poisoned=poisoned,
-            failed_attempts=sum(self.attempts(t) for t in ids),
-        )
+    def _classify(self) -> tuple[QueueStatus, dict[str, dict]]:
+        """Each task's ``{state, attempts}`` and the counts over them.
 
-    def status_payload(self) -> dict:
-        """Machine-readable queue state (``campaign queue-status --json``).
-
-        One consistent-enough snapshot for CI jobs and ops scripts:
-        aggregate counts plus a per-task ``{state, attempts}`` map with
-        state precedence done > poisoned > claimed > open (each task is
-        reported in exactly one state), and the full poison reports.
+        Every task is in exactly one state, by precedence done > poisoned
+        > claimed > open, so the counts always sum to the total.
         """
         tasks: dict[str, dict] = {}
-        counts = {"done": 0, "poisoned": 0, "claimed": 0, "open": 0}
         for task_id in self.task_ids():
             if self.has_partial(task_id):
                 state = "done"
@@ -716,19 +692,36 @@ class WorkQueue:
                 state = "claimed"
             else:
                 state = "open"
-            counts[state] += 1
             tasks[task_id] = {
                 "state": state,
                 "attempts": self.attempts(task_id),
             }
+        states = [t["state"] for t in tasks.values()]
+        status = QueueStatus(
+            total=len(tasks),
+            done=states.count("done"),
+            claimed=states.count("claimed"),
+            open=states.count("open"),
+            poisoned=states.count("poisoned"),
+            failed_attempts=sum(t["attempts"] for t in tasks.values()),
+        )
+        return status, tasks
+
+    def status(self) -> QueueStatus:
+        """Count the tasks in each state."""
+        return self._classify()[0]
+
+    def status_payload(self) -> dict:
+        """Machine-readable queue state (``campaign queue-status --json``).
+
+        One consistent-enough snapshot for CI jobs and ops scripts: the
+        :meth:`status` counts plus a per-task ``{state, attempts}`` map
+        and the full poison reports.
+        """
+        status, tasks = self._classify()
         return {
             "format": "repro-queue-status-v1",
-            "total": len(tasks),
-            "done": counts["done"],
-            "poisoned": counts["poisoned"],
-            "claimed": counts["claimed"],
-            "open": counts["open"],
-            "failed_attempts": sum(t["attempts"] for t in tasks.values()),
+            **asdict(status),
             "tasks": tasks,
             "poisoned_tasks": self.poisoned(),
         }
@@ -1287,8 +1280,6 @@ class QueueBackend:
     work is already persisted for a later ``--resume``).
     """
 
-    name = "queue"
-
     def __init__(
         self,
         n_shards: int = 2,
@@ -1307,12 +1298,7 @@ class QueueBackend:
         self._pending: list[tuple[int, CampaignCase]] = []
         self._cache: ArtifactCache | None = None
         self._force = False
-        #: The declared ExecutionBackend report, reset by every submit.
         self.persists_results = False
-        self.worker_cached = 0
-        self.requeued = 0
-        self.poisoned = 0
-        self.respawned = 0
 
     @property
     def workers(self) -> int:
@@ -1325,7 +1311,7 @@ class QueueBackend:
         cache: ArtifactCache | None = None,
         force: bool = False,
     ) -> None:
-        """Register pending ``(suite_index, case)`` pairs; reset counters.
+        """Register pending ``(suite_index, case)`` pairs.
 
         Workers store artifacts straight into ``cache`` when one is given
         (so the campaign skips its own re-store), and into a ``cache/``
@@ -1335,11 +1321,9 @@ class QueueBackend:
         self._cache = cache
         self._force = bool(force)
         self.persists_results = cache is not None
-        self.worker_cached = self.requeued = self.poisoned = self.respawned = 0
 
     def _credit(self, computed: int, cached: int) -> None:
-        """Surface worker-side computes/hits into the campaign's stats."""
-        self.worker_cached += cached
+        """Count worker-side stores/hits in the campaign cache's stats."""
         if self._cache is not None:
             self._cache.stats.stores += computed
             self._cache.stats.hits += cached
@@ -1417,7 +1401,6 @@ class QueueBackend:
                 yield from self._run_fleet(fleet, drain_landed)
 
             poisoned = queue.poisoned()
-            self.poisoned = len(poisoned)
             if poisoned:
                 raise PoisonedShardError(poisoned)
         finally:
@@ -1436,11 +1419,7 @@ class QueueBackend:
             for _ in range(self.jobs):
                 fleet.spawn()
             while True:
-                self.requeued += sum(
-                    1
-                    for e in queue.requeue_stale()
-                    if e.action in ("requeued", "poisoned")
-                )
+                queue.requeue_stale()
                 yield from drain_landed()
                 if queue.is_complete():
                     break
@@ -1450,9 +1429,8 @@ class QueueBackend:
                 # converges to poisoning instead of a respawn storm.
                 live = fleet.prune()
                 if live < self.jobs:
-                    if self.respawned < respawn_budget:
+                    if fleet.spawned - self.jobs < respawn_budget:
                         fleet.spawn()
-                        self.respawned = fleet.spawned - self.jobs
                     elif not live:
                         raise RuntimeError(
                             f"queue fleet died: {fleet.spawned} workers "

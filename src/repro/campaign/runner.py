@@ -17,12 +17,14 @@ protocol declares.  Because every case derives its RNG stream from its
 which the determinism test suite asserts panel-for-panel.  Every computed
 case is persisted to the cache the moment it is yielded, so an
 interrupted campaign re-run with ``--resume`` skips every completed case
-regardless of backend.
+regardless of backend.  The campaign keeps no counters of its own: the
+cache's :class:`~repro.campaign.cache.CacheStats` records what a run
+loaded and stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.campaign.backend import ExecutionBackend, get_backend
@@ -30,51 +32,7 @@ from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
 
-__all__ = ["Campaign", "CampaignStats"]
-
-
-@dataclass
-class CampaignStats:
-    """What one :meth:`Campaign.run` actually did, and where it ran."""
-
-    total: int = 0
-    computed: int = 0
-    cached: int = 0
-    corrupt_recovered: int = 0
-    backend: str = ""
-    workers: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Queue-backend fleet health: shards requeued after a stale lease,
-    #: shards poisoned past the retry budget, replacement workers spawned.
-    requeued: int = 0
-    poisoned: int = 0
-    respawned: int = 0
-
-    def summary(self) -> str:
-        """One-line human summary for logs and reports.
-
-        Includes the execution backend, its worker count and the cache
-        hit/miss counts, so a report always says *where* its cases ran
-        and how much the artifact cache saved; a queue-backed run also
-        reports its requeue/respawn/poison counts so injected or real
-        worker failures are visible in the log line.
-        """
-        parts = [f"{self.total} cases", f"{self.computed} computed", f"{self.cached} cached"]
-        if self.corrupt_recovered:
-            parts.append(f"{self.corrupt_recovered} corrupt artifacts recomputed")
-        line = ", ".join(parts)
-        if self.backend:
-            line += (
-                f" [backend={self.backend}, workers={self.workers}, "
-                f"cache {self.cache_hits} hits / {self.cache_misses} misses]"
-            )
-        if self.requeued or self.poisoned or self.respawned:
-            line += (
-                f" [fleet: {self.requeued} requeued, "
-                f"{self.respawned} respawned, {self.poisoned} poisoned]"
-            )
-        return line
+__all__ = ["Campaign"]
 
 
 @dataclass
@@ -106,7 +64,6 @@ class Campaign:
     cache: ArtifactCache | None = None
     force: bool = False
     backend: ExecutionBackend | None = None
-    stats: CampaignStats = field(default_factory=CampaignStats)
 
     def _resolve_backend(self) -> ExecutionBackend:
         """The explicit backend, or :func:`get_backend`'s ``jobs`` policy."""
@@ -136,37 +93,15 @@ class Campaign:
         interrupted consumer leaves a resumable cache behind.
         """
         backend = self._resolve_backend()
-        self.stats = CampaignStats(
-            total=len(self.cases), backend=backend.name, workers=backend.workers
-        )
-        # The campaign's hit/miss counters are deltas of the attached
-        # cache's own CacheStats over this run, so they stay truthful for
-        # every policy: force=True does no lookups (0/0), and backends
-        # that load/store cache-side (queue workers) credit their counts
-        # through the same CacheStats object.
-        hits_before = self.cache.stats.hits if self.cache is not None else 0
-        misses_before = self.cache.stats.misses if self.cache is not None else 0
-
-        def sync_cache_counters() -> None:
-            if self.cache is not None:
-                self.stats.cache_hits = self.cache.stats.hits - hits_before
-                self.stats.cache_misses = self.cache.stats.misses - misses_before
-
         pending: list[tuple[int, CampaignCase]] = []
         for i, case in enumerate(self.cases):
             cached = None
             if self.cache is not None and not self.force:
-                corrupt_before = self.cache.stats.corrupt
                 cached = self.cache.load(case)
-                if cached is None and self.cache.stats.corrupt > corrupt_before:
-                    self.stats.corrupt_recovered += 1
-            if cached is not None:
-                self.stats.cached += 1
-                sync_cache_counters()
-                yield i, case, cached
-            else:
-                sync_cache_counters()
+            if cached is None:
                 pending.append((i, case))
+            else:
+                yield i, case, cached
 
         if not pending:
             return
@@ -175,29 +110,13 @@ class Campaign:
         # declare it, so the byte-identical re-store is skipped.
         store = self.cache is not None and not backend.persists_results
         completed = backend.as_completed()
-        reclassified = 0
         try:
             for i, case, result in completed:
                 if store:
                     self.cache.store(case, result)
-                self.stats.computed += 1
-                # A backend may serve part of its batch from a cache of
-                # its own (queue workers over a persistent queue dir);
-                # reclassify those results from "computed" to "cached".
-                shift = min(
-                    backend.worker_cached - reclassified, self.stats.computed
-                )
-                if shift > 0:
-                    self.stats.computed -= shift
-                    self.stats.cached += shift
-                    reclassified += shift
-                sync_cache_counters()
                 yield i, case, result
         finally:
             # An abandoned consumer (GeneratorExit) must reach the backend
             # so it can cancel queued work; everything already persisted
             # stays persisted and a --resume re-run picks up from there.
             completed.close()
-            self.stats.requeued = backend.requeued
-            self.stats.poisoned = backend.poisoned
-            self.stats.respawned = backend.respawned

@@ -307,6 +307,9 @@ def run_shard(
         cache = ArtifactCache(pathlib.Path(cache))
     indices = [index for index, _ in manifest.cases]
     cases = [case for _, case in manifest.cases]
+    # The campaign runs in process (serial or pool), so each case it
+    # computes is one store and each it loads is one hit.
+    stores, hits = cache.stats.stores, cache.stats.hits
     campaign = Campaign(
         cases,
         jobs=jobs,
@@ -334,8 +337,8 @@ def run_shard(
         case_keys=tuple(
             case.key for _, case in sorted(manifest.cases)
         ),
-        computed=campaign.stats.computed,
-        cached=campaign.stats.cached,
+        computed=cache.stats.stores - stores,
+        cached=cache.stats.hits - hits,
     )
 
 

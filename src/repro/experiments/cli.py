@@ -775,8 +775,9 @@ def _campaign_main(argv: list[str]) -> int:
                 # No artifact of this sweep is readable: all of it is missing.
                 print(f"[missing: {fold}]")
                 return 1
+            # The cases the fold read; a corrupt artifact is missing too.
             missing = caseset - caseset.subset(
-                c.key for c in cases if cache.has(c)
+                cases[i].key for i in result.aggregate.indices
             )
             tail = f" aggregated from {args.cache_dir}, nothing recomputed"
         else:

@@ -44,7 +44,7 @@ import pathlib
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Mapping
 from urllib.parse import parse_qsl, urlsplit
@@ -127,8 +127,7 @@ class ServiceConfig:
 class ServiceStats:
     """What the service actually did (the ``/stats`` payload core).
 
-    Follows the :class:`~repro.campaign.runner.CampaignStats` convention:
-    plain counters plus a one-line :meth:`summary` for logs.
+    Plain counters plus a one-line :meth:`summary` for logs.
     """
 
     requests: int = 0
@@ -156,24 +155,6 @@ class ServiceStats:
             f"{self.timeouts} timed out, {self.poisoned} poisoned, "
             f"{self.backend_errors} backend errors"
         )
-
-    def to_payload(self) -> dict:
-        """Counter dict for the ``/stats`` endpoint."""
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "computed": self.computed,
-            "shed": self.shed,
-            "bad_requests": self.bad_requests,
-            "timeouts": self.timeouts,
-            "poisoned": self.poisoned,
-            "backend_errors": self.backend_errors,
-            "sweeps": self.sweeps,
-            "sweep_cases": self.sweep_cases,
-            "sweep_warm": self.sweep_warm,
-            "sweep_cold": self.sweep_cold,
-        }
 
 
 class _BackendUnavailable(RuntimeError):
@@ -568,9 +549,8 @@ class RobustnessService:
     def stats_payload(self) -> tuple[int, dict[str, str], dict]:
         """The ``/stats`` body: service + gate + cache + queue counters."""
         with self._stats_lock:
-            service = self.stats.to_payload()
+            service = asdict(self.stats)
             summary = self.stats.summary()
-        cache_stats = self.cache.stats
         return (
             200,
             {},
@@ -578,14 +558,8 @@ class RobustnessService:
                 "summary": summary,
                 "service": service,
                 "admission": self.gate.snapshot(),
-                "cache": {
-                    "hits": cache_stats.hits,
-                    "misses": cache_stats.misses,
-                    "stores": cache_stats.stores,
-                    "corrupt": cache_stats.corrupt,
-                    "scans": cache_stats.scans,
-                },
-                "queue": self.queue.status().__dict__,
+                "cache": asdict(self.cache.stats),
+                "queue": asdict(self.queue.status()),
                 "fleet": self.fleet.live(),
             },
         )

@@ -1,5 +1,6 @@
 """The work-queue protocol: claims, leases, reaper, worker, backend."""
 
+import dataclasses
 import json
 import os
 import time
@@ -123,6 +124,23 @@ class TestQueueProtocol:
         assert report["attempts"] == FAST.max_attempts
         assert report["reason"] == "injected"
         assert queue.status().poisoned == 1
+
+    def test_poisoned_task_with_a_claim_counts_once(self, tmp_path):
+        # A claim file beside a poison report (a retire racing its poison
+        # write, or a hand-edited queue): the task is poisoned, once.
+        queue, _ = _enqueued(tmp_path)
+        task = queue.task_ids()[0]
+        for _ in range(FAST.max_attempts):
+            queue.claim(task, "crashy")
+            queue.fail(task, "injected")
+        queue.claim_path(task).write_text("late claim")
+        status = queue.status()
+        payload = queue.status_payload()
+        assert (status.done, status.claimed, status.open, status.poisoned) == (
+            0, 0, status.total - 1, 1,
+        )
+        assert payload["tasks"][task]["state"] == "poisoned"
+        assert dataclasses.asdict(status).items() <= payload.items()
 
     def test_requeue_backoff_gates_claimability(self, tmp_path):
         queue = WorkQueue(
@@ -390,18 +408,15 @@ class TestQueueBackend:
         indexed = _indexed_cases()
         cases = [c for _, c in indexed]
         expected = [case_result_to_json(r) for r in Campaign(cases).run()]
+        cache = ArtifactCache(tmp_path / "cache")
         campaign = Campaign(
             cases,
-            cache=ArtifactCache(tmp_path / "cache"),
+            cache=cache,
             backend=QueueBackend(n_shards=3, jobs=1, config=FAST),
         )
         got = [case_result_to_json(r) for r in campaign.run()]
         assert got == expected
-        stats = campaign.stats
-        assert (stats.backend, stats.total, stats.computed) == (
-            "queue", len(cases), len(cases),
-        )
-        assert (stats.requeued, stats.poisoned, stats.respawned) == (0, 0, 0)
+        assert (cache.stats.stores, cache.stats.hits) == (len(cases), 0)
 
     def test_persistent_queue_dir_resumes(self, tmp_path):
         indexed = _indexed_cases()
@@ -415,10 +430,9 @@ class TestQueueBackend:
         assert queue.is_complete()
         # Second run over the same queue dir: partials already present,
         # every case replayed from the shared artifact cache.
-        campaign = Campaign(cases, cache=cache, backend=backend)
-        campaign.run()
-        assert campaign.stats.computed == 0
-        assert campaign.stats.cached == len(cases)
+        rerun = ArtifactCache(tmp_path / "cache")
+        Campaign(cases, cache=rerun, backend=backend).run()
+        assert (rerun.stats.stores, rerun.stats.hits) == (0, len(cases))
 
     def test_poisoned_queue_raises_named_error(self, tmp_path):
         indexed = _indexed_cases()
@@ -475,32 +489,39 @@ class TestQueueBackendCachePersistence:
             c.artifact_name for c in cases
         )
         # ...and the worker-side stores are credited to the cache stats,
-        # so campaign/CLI reporting stays truthful.
-        assert cache.stats.stores == len(cases)
-        assert campaign.stats.computed == len(cases)
+        # so CLI reporting stays truthful.
+        assert (cache.stats.stores, cache.stats.hits) == (len(cases), 0)
         # ... and a warm re-run loads them.
-        warm = Campaign(cases, cache=cache)
-        warm.run()
-        assert warm.stats.cached == len(cases)
-        assert warm.stats.cache_hits == len(cases)
+        warm = ArtifactCache(cache.root)
+        Campaign(cases, cache=warm).run()
+        assert (warm.stats.hits, warm.stats.stores) == (len(cases), 0)
 
-    def test_persistent_queue_dir_repeat_run_reports_cached(self, tmp_path):
+    def test_persistent_queue_dir_repeat_run_claims_and_writes_nothing(
+        self, tmp_path
+    ):
         # No campaign cache, but a persistent queue dir: every shard's
-        # partial landed in the first run, so the second run does no work
-        # and must NOT report any case as computed.
+        # partial landed in the first run, so the second run claims no
+        # task and writes no file.
         cases = [c for _, c in _indexed_cases()[:2]]
         queue_dir = tmp_path / "q"
-        cold = Campaign(
-            cases, backend=QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
-        )
-        cold.run()
-        assert cold.stats.computed == len(cases) and cold.stats.cached == 0
-        warm = Campaign(
-            cases, backend=QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
-        )
-        warm.run()
-        assert warm.stats.computed == 0
-        assert warm.stats.cached == len(cases)
+
+        def run():
+            backend = QueueBackend(2, jobs=1, queue_dir=queue_dir, config=FAST)
+            return Campaign(cases, backend=backend).run()
+
+        def snapshot():
+            return {
+                p: p.stat().st_mtime_ns for p in sorted(queue_dir.rglob("*"))
+            }
+
+        cold = run()
+        assert len(list((queue_dir / "cache").glob("*.json"))) == len(cases)
+        before = snapshot()
+        warm = run()
+        assert snapshot() == before
+        assert [case_result_to_json(r) for r in warm] == [
+            case_result_to_json(r) for r in cold
+        ]
 
 
 def _payload(aggregate):

@@ -183,6 +183,8 @@ class TestWorkerAndMerge:
         warm = run_shard(manifest, tmp_path / "cache")
         assert warm.computed == 0 and warm.cached == len(manifest.cases)
         assert merge_partials([warm]).cached == len(manifest.cases)
+        forced = run_shard(manifest, tmp_path / "cache", force=True)
+        assert (forced.computed, forced.cached) == (len(manifest.cases), 0)
 
     def test_merge_subset_of_shards_is_exact_partial(self, runs):
         manifests = [m for m in partition_cases(runs.indexed, 3) if m.cases]

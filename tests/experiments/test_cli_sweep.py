@@ -86,6 +86,27 @@ class TestSweepSubcommand:
             EXPR.replace("seed[0-1]", "seed[1]")
         ).keys()
 
+    def test_from_cache_reports_a_corrupt_artifact_missing(
+        self, capsys, tmp_path
+    ):
+        # The replay reads each artifact once, through the full check; a
+        # case whose bytes fail it is missing, even though its file exists.
+        cache_dir = tmp_path / "cache"
+        argv = ["campaign", "sweep", EXPR, "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        corrupted = parse(EXPR).cases()[0]
+        path = ArtifactCache(cache_dir).path_for(corrupted)
+        data = bytearray(path.read_bytes())
+        data[100] = 0xFF
+        path.write_bytes(bytes(data))
+        assert main(argv + ["--from-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "(partial: 1/2 cases)" in out
+        missing_line = [l for l in out.splitlines() if "missing" in l][0]
+        expr = missing_line.split("missing:", 1)[1].strip()[:-1]
+        assert parse(expr).keys() == [corrupted.key]
+
     def test_compute_and_replay_print_one_complete_report(
         self, capsys, tmp_path
     ):
