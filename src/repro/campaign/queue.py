@@ -71,6 +71,7 @@ import tempfile
 import threading
 import time
 import zlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import (
     Callable, Generator, Iterable, Iterator, Mapping, Sequence, TextIO,
@@ -680,8 +681,19 @@ class WorkQueue:
         """Each task's ``{state, attempts}`` and the counts over them.
 
         Every task is in exactly one state, by precedence done > poisoned
-        > claimed > open, so the counts always sum to the total.
+        > claimed > open, so the counts always sum to the total.  Failed
+        attempts come from one listing of ``attempts/``: a tombstone is
+        ``<task id>.attempt-NN`` and no task id contains ``.attempt-``.
         """
+        try:
+            names = [p.name for p in self.attempts_dir.iterdir()]
+        except OSError:
+            names = []
+        failed = Counter(
+            name.rsplit(".attempt-", 1)[0]
+            for name in names
+            if ".attempt-" in name
+        )
         tasks: dict[str, dict] = {}
         for task_id in self.task_ids():
             if self.has_partial(task_id):
@@ -692,10 +704,7 @@ class WorkQueue:
                 state = "claimed"
             else:
                 state = "open"
-            tasks[task_id] = {
-                "state": state,
-                "attempts": self.attempts(task_id),
-            }
+            tasks[task_id] = {"state": state, "attempts": failed[task_id]}
         states = [t["state"] for t in tasks.values()]
         status = QueueStatus(
             total=len(tasks),

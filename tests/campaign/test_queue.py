@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import time
 
 import pytest
@@ -124,6 +125,32 @@ class TestQueueProtocol:
         assert report["attempts"] == FAST.max_attempts
         assert report["reason"] == "injected"
         assert queue.status().poisoned == 1
+
+    def test_status_lists_attempts_once(self, tmp_path, monkeypatch):
+        # 301 tasks beside 451 tombstones: one listing of attempts/ per
+        # status, and every task's count equal to attempts().
+        queue = WorkQueue(tmp_path / "q", FAST).init()
+        task_ids = [f"shard-{k:03d}-of-300" for k in range(300)]
+        task_ids.append("case-0123456789ab")
+        for k, task_id in enumerate(task_ids):
+            queue.task_path(task_id).write_text("{}")
+            for attempt in range(1, 1 + (k + 1) % 4):
+                (queue.attempts_dir / f"{task_id}.attempt-{attempt:02d}").touch()
+        listings = 0
+        iterdir = pathlib.Path.iterdir
+
+        def counting(path):
+            nonlocal listings
+            listings += path == queue.attempts_dir
+            return iterdir(path)
+
+        monkeypatch.setattr(pathlib.Path, "iterdir", counting)
+        status = queue.status()
+        payload = queue.status_payload()
+        assert listings == 2
+        want = {task_id: queue.attempts(task_id) for task_id in task_ids}
+        assert {t: v["attempts"] for t, v in payload["tasks"].items()} == want
+        assert status.failed_attempts == sum(want.values()) == 451
 
     def test_poisoned_task_with_a_claim_counts_once(self, tmp_path):
         # A claim file beside a poison report (a retire racing its poison
