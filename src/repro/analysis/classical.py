@@ -24,20 +24,57 @@ one-schedule entry points are the panel walk of one schedule.  The results are b
 historical per-task per-op walk, which is kept frozen as
 :func:`repro.analysis._reference.classical_task_finishes_reference` and
 asserted equal by the equivalence suite.
+
+A panel walk uses every CPU the process may run on.
+:func:`classical_makespans` deals its schedules round-robin to one
+walker per CPU (``_WALKERS``, from ``os.sched_getaffinity``; 1 where that
+does not exist): the calling process walks the first share and a forked
+child walks each other share on its copy-on-write copy of the engine
+(:func:`repro.util.fork.fork_map`, which states the fork contract).  The
+memos are content-pure and a panel walk never depended on how its
+schedules were grouped, so every makespan keeps its bytes.  A walker's
+memo entries die with it; its work counters come back to the engine
+(:meth:`~repro.stochastic.batch.BatchedGridEngine.add_work`).  A
+``ProcessPoolBackend`` worker walks with its share of the CPUs
+(:func:`share_walkers`).
 """
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 import numpy as np
 
 from repro.schedule.schedule import Schedule
-from repro.stochastic.batch import BatchedGridEngine, engine_for
+from repro.stochastic.batch import WORK_COUNTERS, BatchedGridEngine, engine_for
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.rv import NumericRV
+from repro.util.fork import fork_map
 
-__all__ = ["classical_makespan", "classical_makespans", "classical_task_finishes"]
+__all__ = [
+    "classical_makespan",
+    "classical_makespans",
+    "classical_task_finishes",
+    "share_walkers",
+]
+
+#: Walkers a panel walk is split across: one per CPU this process may run
+#: on (see the module docstring).
+_WALKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+)
+
+
+def share_walkers(workers: int) -> None:
+    """Keep one of ``workers`` equal shares of this process's walkers.
+
+    Later panel walks split across ``max(1, walkers // workers)`` walkers:
+    the initializer of each ``ProcessPoolBackend`` worker, so that
+    ``--jobs N`` on N CPUs runs N walk processes in all.
+    """
+    global _WALKERS
+    _WALKERS = max(1, _WALKERS // workers)
 
 
 def _walk_panel(
@@ -122,18 +159,40 @@ def classical_makespans(
 
     Walks the schedules in lockstep (see the module docstring); every
     makespan is the max of its schedule's exit-task finishes, all taken in
-    one final batched step.  Each result is bit-identical to walking its
-    schedule alone.  ``engine`` is shared as in
-    :func:`classical_task_finishes`.
+    one final batched step.  The schedules are dealt round-robin to up to
+    ``_WALKERS`` walkers, the calling process and forked children, and
+    each result lands at its schedule's index.  Each result is
+    bit-identical to walking its schedule alone.  ``engine`` is shared as
+    in :func:`classical_task_finishes`; after the walk its work counters
+    include every walker's.
     """
     eng = engine_for(model, engine)
+    schedules = list(schedules)
+    walkers = max(1, min(_WALKERS, len(schedules)))
+    shares = [schedules[k::walkers] for k in range(walkers)]
+    walks = fork_map(lambda share: _walk_share(share, eng), shares)
+    out: list[NumericRV] = [None] * len(schedules)  # type: ignore[list-item]
+    for k, (makespans, work) in enumerate(walks):
+        out[k::walkers] = makespans
+        if k:  # the caller's own work is already in its engine
+            eng.add_work(work)
+    return out
+
+
+def _walk_share(
+    schedules: Sequence[Schedule], eng: BatchedGridEngine
+) -> tuple[list[NumericRV], dict[str, int]]:
+    """One walker's makespans and the work counters it added to ``eng``."""
+    before = eng.stats
     finishes = _walk_panel(schedules, eng)
-    return eng.max_groups(
+    makespans = eng.max_groups(
         [
             [fin[v] for v in disjunctive_sinks(s)]
             for s, fin in zip(schedules, finishes)
         ]
     )
+    after = eng.stats
+    return makespans, {k: after[k] - before[k] for k in WORK_COUNTERS}
 
 
 def classical_makespan(

@@ -30,8 +30,10 @@ Implementations here:
 * :class:`ProcessPoolBackend` — the ``ProcessPoolExecutor`` fan-out behind
   ``--jobs N``: workers receive ``CampaignCase.to_dict()`` (plain JSON)
   and ship back the canonical result JSON, so only small payloads cross
-  the process boundary.  Its :meth:`~ProcessPoolBackend.map` is also the
-  fan-out for work that is not case-shaped (the Figure 9 samplings).
+  the process boundary.  Each worker splits its panel walks across its
+  share of the CPUs (:func:`_pool`).  Its :meth:`~ProcessPoolBackend.map`
+  is also the fan-out for work that is not case-shaped (the Figure 9
+  samplings).
 
 The one out-of-process dispatch path,
 :class:`~repro.campaign.queue.QueueBackend` (an elastic pull-worker fleet
@@ -53,6 +55,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.analysis import classical
 from repro.campaign.cache import ArtifactCache
 from repro.campaign.spec import CampaignCase
 from repro.core.study import CaseResult
@@ -74,6 +77,20 @@ Completion = tuple[int, CampaignCase, CaseResult]
 
 #: Backend specifiers understood by :func:`get_backend` (and the CLI).
 BACKEND_NAMES = ("serial", "process", "queue")
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes that share this process's walkers.
+
+    Each worker splits a panel walk across its share of the CPUs
+    (:func:`repro.analysis.classical.share_walkers`), so ``--jobs N`` on N
+    CPUs runs N walk processes, not N per worker.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=classical.share_walkers,
+        initargs=(workers,),
+    )
 
 
 def _run_case_payload(case_dict: dict[str, Any]) -> str:
@@ -211,7 +228,7 @@ class ProcessPoolBackend(_InProcessBackend):
                 yield index, case, case.run()
             return
 
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        pool = _pool(min(self.jobs, len(pending)))
         futures = {
             pool.submit(_run_case_payload, case.to_dict()): (index, case)
             for index, case in pending
@@ -244,7 +261,7 @@ class ProcessPoolBackend(_InProcessBackend):
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
+        with _pool(min(self.jobs, len(items))) as pool:
             return list(pool.map(fn, items))
 
 

@@ -5,7 +5,8 @@ One *case* of the paper's experiment is: a workload, an uncertainty level,
 with the same engine and collected into a :class:`MetricPanel`.  With the
 classical method the schedules are drawn lazily and walked in lockstep
 chunks of :data:`_PANEL_CHUNK` (random schedules first, heuristics last),
-so each engine call carries one DAG level of up to that many schedules.
+so each engine call carries one DAG level of up to that many schedules,
+and each chunk is split across one walker per CPU.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ def evaluate_case(
     schedules, and the value-keyed operation memos reuse sub-expressions
     across schedules.  The classical method walks the panel in lockstep
     (:func:`~repro.analysis.classical.classical_makespans`), in chunks of
-    :data:`_PANEL_CHUNK` schedules drawn lazily, heuristics last.  Results
-    are bit-identical to per-schedule walks with per-schedule engines.
+    :data:`_PANEL_CHUNK` schedules drawn lazily, heuristics last; each
+    chunk is dealt round-robin to one walker per CPU, this process and
+    forked children on copies of the engine whose memo entries die with
+    them.  Results are bit-identical to per-schedule walks with
+    per-schedule engines.
     """
     if n_random < 2:
         raise ValueError("need at least two random schedules for correlations")

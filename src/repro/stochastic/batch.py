@@ -77,32 +77,17 @@ methods in :mod:`repro.stochastic.rv`.  The frozen per-op walks in
 asserts exact array equality, and the fig-1/2/6 artifact hashes are
 unchanged (a pre-change campaign cache loads warm).
 
-Threads never change a bit either.  A level's sums split into a plan step
-and a compute step.  The plan step runs on the calling thread in job
-order and does everything that reads or writes engine state: the grid
-plan, the counters in :attr:`BatchedGridEngine.stats`, the value ids and
-the own-step resample memo.  The compute step is a pure function of its
-plan: the other operand resamples, the ``np.convolve`` kernel, the
-``conv *= dx`` scaling and, for a row bound for :meth:`_refit_long`, the
-cumulative and trim window.  When a call's jobs are large on average
-(:data:`_PARALLEL_MACS`), the calling thread and :data:`_HELPERS` helper
-threads take compute steps from one shared iterator, largest first, and
-each result lands at its job's index.  Each kernel then runs on the same
-operands as the serial loop, and the refits, memo stores and counters run
-afterwards on the calling thread in job order, so results, memo contents
-and ``stats`` match the serial loop exactly.  The calling thread never
-waits for a job it could take itself: once the iterator is empty it waits
-only for the jobs helpers already hold, and a failure in any job stops the
-hand-out and is raised on the calling thread after those jobs end.
+A panel walk split across forked walkers
+(:func:`repro.analysis.classical.classical_makespans`) runs each share on
+its own copy-on-write copy of one engine.  The memos are content-pure, so
+no walker depends on what another computed; the walkers' work counters
+(:data:`WORK_COUNTERS`) come back to the parent's engine as deltas.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -156,95 +141,13 @@ _MIN_BATCH = 6
 #: bit-identical.
 _LONG_ROW = 1024
 
-#: A level's sums run on helper threads only when its unique jobs plan at
-#: least this many multiply-adds (n_a·n_b) on average.  Measured on calls
-#: of 6-64 sums of a finish RV with a 65-point comm RV at its own step
-#: (2-vCPU x86 host, numpy 2.4, one helper): with helpers a call took
-#: 1.11-1.44× its serial time at 1e5 multiply-adds per job, 0.87-1.02× at
-#: 2e5, 0.70-0.84× at 4e5 and 0.52-0.60× at 1e6.  Below ~2e5 the side of
-#: each step's numpy calls that holds the GIL outweighs what the helper
-#: saves.  Jobs average 383k on the `dense` benchmark cases (98 % of their
-#: convolution time is in calls above the gate), 6.2k on `dense-approx`
-#: and 120k on Cholesky 35 query misses.  Purely a speed knob — both
-#: paths are bit-identical.
-_PARALLEL_MACS = 200_000
-
-#: Helper threads beside the calling thread: one per other CPU this
-#: process may run on (a module attribute so tests can set it).
-_HELPERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-) - 1
-
-#: Helper pools by (process id, size), each created on first use.  A child
-#: forked after its parent started a pool inherits the pool object but none
-#: of its threads, so a job submitted to it would never run; the child's own
-#: process id finds no pool and starts a fresh one.
-_POOLS: dict[tuple[int, int], ThreadPoolExecutor] = {}
-
-
-def _helper_pool(size: int) -> ThreadPoolExecutor:
-    """This process's pool of ``size`` helper threads."""
-    key = (os.getpid(), size)
-    pool = _POOLS.get(key)
-    if pool is None:
-        # setdefault keeps one pool when two threads race here; the
-        # loser has started no thread (the executor starts them on submit).
-        pool = _POOLS.setdefault(
-            key, ThreadPoolExecutor(size, thread_name_prefix="repro-sums")
-        )
-    return pool
-
-
-class _Drain:
-    """One call's compute steps, handed out largest first to any thread.
-
-    :meth:`run` takes steps until none is left or one has failed;
-    :meth:`join` waits for the steps other threads still hold and returns
-    the results in job order, or raises the first failure.
-    """
-
-    def __init__(
-        self, compute: Callable[[tuple], tuple], plans: list, costs: list
-    ):
-        self._compute = compute
-        self._plans = plans
-        self._out: list = [None] * len(plans)
-        self._next = iter(sorted(range(len(plans)), key=lambda j: -costs[j]))
-        self._cond = threading.Condition()
-        self._held = 0
-        self._error: BaseException | None = None
-
-    def run(self) -> None:
-        """Compute steps until the iterator is empty or a step failed.
-
-        Every failure is recorded for :meth:`join` rather than raised, so
-        a helper's future never holds an exception and is never read.
-        """
-        cond = self._cond
-        while True:
-            with cond:
-                j = None if self._error is not None else next(self._next, None)
-                if j is None:
-                    return
-                self._held += 1
-            try:
-                self._out[j] = self._compute(self._plans[j])
-            except BaseException as exc:  # re-raised by join()
-                with cond:
-                    self._error = self._error or exc
-            finally:
-                with cond:
-                    self._held -= 1
-                    cond.notify_all()
-
-    def join(self) -> list:
-        """Results in job order, once no thread holds a step."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._held == 0)
-        if self._error is not None:
-            raise self._error
-        return self._out
+#: The :attr:`BatchedGridEngine.stats` keys that count work done.  A forked
+#: walker sends its deltas of these back and its parent adds them
+#: (:meth:`BatchedGridEngine.add_work`); the other keys size pools that
+#: stay the parent's own.
+WORK_COUNTERS = (
+    "resample_memo", "conv_macs", "conv_capped", "max_capped", "fft_convs"
+)
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -389,17 +292,6 @@ def gradient_rows(f: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resample_operand(rv: NumericRV, dx: float, n: int) -> np.ndarray:
-    """Operand density resampled onto its ``arange`` conv grid."""
-    # rv.xs[0] + dx·k, built in place (no int arange, no product temp).
-    grid = np.arange(n, dtype=float)
-    grid *= dx
-    grid += rv.xs[0]
-    return _rescue_lost_operand(
-        rv.xs, rv.pdf, grid, resample_pdf(rv.xs, rv.pdf, grid)
-    )
-
-
 def _long_row_window(conv: np.ndarray, c0: float, dx: float) -> tuple:
     """:func:`rv._trim_window` of one conv row from an in-place cumulative.
 
@@ -510,17 +402,13 @@ class BatchedGridEngine:
         # the dense random_n100 panels and 6,637 of 6,687 on two Cholesky
         # 35 panels, so it is computed and dropped.
         self._resample_memo: dict[tuple[int, float, int], np.ndarray] = {}
-        self._resamples = 0
-        self._conv_macs = 0
+        # The work counters, by stats key (see WORK_COUNTERS).
+        self._work = dict.fromkeys(WORK_COUNTERS, 0)
         # Value interning: content signature → value id, with a per-object
         # id cache (operands are kept alive so ids stay valid).
         self._value_ids: dict[int, int] = {}
         self._value_keys: dict[tuple, int] = {}
         self._value_keep: list[NumericRV] = []
-        # Fast-policy diagnostics (all zero in exact mode).
-        self._conv_capped = 0
-        self._max_capped = 0
-        self._fft_convs = 0
 
     def _vid(self, rv: NumericRV) -> int:
         """Content-keyed value id of ``rv`` (the memo-key currency).
@@ -616,39 +504,41 @@ class BatchedGridEngine:
             results[i] = self._add_memo[key][2]
         return results  # type: ignore[return-value]
 
-    def _own_resample(
-        self, rv: NumericRV, dx: float, n: int
-    ) -> np.ndarray | None:
-        """The memoized resample of an interned RV at its own step, or None.
+    def _operand_grid(self, rv: NumericRV, dx: float, n: int) -> np.ndarray:
+        """Operand density resampled onto its ``arange`` conv grid.
 
         The common-step grid depends only on (operand, dx, n).  Narrow
         duration/communication RVs impose their own fine step on every
         partner, so an interned RV at its own step recurs across tasks and
-        schedules and is memoized (computed here on a miss); no other
-        resample is kept (see ``_resample_memo``), and for those this
-        returns None and the compute step resamples.  Counts every
-        resample computed, here or there.
+        schedules and is memoized; no other resample is kept (see
+        ``_resample_memo``).
         """
-        if id(rv) not in self._interned or dx != rv.xs[1] - rv.xs[0]:
-            self._resamples += 1
-            return None
-        key = (self._vid(rv), dx, n)
-        y = self._resample_memo.get(key)
-        if y is None:
-            y = self._resample_memo[key] = _resample_operand(rv, dx, n)
-            self._resamples += 1
+        own = id(rv) in self._interned and dx == rv.xs[1] - rv.xs[0]
+        if own:
+            key = (self._vid(rv), dx, n)
+            hit = self._resample_memo.get(key)
+            if hit is not None:
+                return hit
+        # rv.xs[0] + dx·k, built in place (no int arange, no product temp).
+        grid = np.arange(n, dtype=float)
+        grid *= dx
+        grid += rv.xs[0]
+        y = _rescue_lost_operand(
+            rv.xs, rv.pdf, grid, resample_pdf(rv.xs, rv.pdf, grid)
+        )
+        self._work["resample_memo"] += 1
+        if own:
+            self._resample_memo[key] = y
         return y
 
-    def _conv_plan(self, job: tuple, long_rows: bool) -> tuple:
-        """Plan one unique sum job on the calling thread (see Bit-identity).
+    def _conv_job(self, job: tuple) -> tuple:
+        """Plan + convolve one unique sum job (per-op primitives).
 
         Exact mode plans at :data:`rv._MAX_CONV_POINTS` and always uses the
         direct ``np.convolve`` product.  Fast mode caps the plan at the
         :func:`rv._fast_conv_points` budget of the output grid and lets
         :func:`rv._conv_kernel` dispatch large balanced products to the FFT
-        — identical arithmetic to ``NumericRV.add(..., fast=True)``.  With
-        ``long_rows`` a conv row of at least :data:`_LONG_ROW` points also
-        gets its trim window in the compute step (:meth:`_refit_long`).
+        — identical arithmetic to ``NumericRV.add(..., fast=True)``.
         """
         a, b = job[2], job[3]
         xs_a, xs_b = a.xs, b.xs
@@ -659,61 +549,20 @@ class BatchedGridEngine:
         width_b = xs_b[-1] - xs_b[0]
         cap = _fast_conv_points(grid_n) if self.fast_conv else _MAX_CONV_POINTS
         if self.fast_conv and (width_a + width_b) / min(dx_a, dx_b) > cap:
-            self._conv_capped += 1
+            self._work["conv_capped"] += 1
         dx, n_a, n_b = _conv_grid_plan(
             dx_a, width_a, dx_b, width_b, max_points=cap
         )
         if self.fast_conv and min(n_a, n_b) >= _FFT_MIN_OPERAND:
-            self._fft_convs += 1
-        self._conv_macs += n_a * n_b
-        return (
-            job,
-            self._own_resample(a, dx, n_a),
-            self._own_resample(b, dx, n_b),
-            dx,
-            n_a,
-            n_b,
-            xs_a[0] + xs_b[0],
-            grid_n,
-            long_rows and n_a + n_b - 1 >= _LONG_ROW,
-        )
-
-    def _conv_compute(self, plan: tuple) -> tuple:
-        """Convolve one planned sum job: a pure function of ``plan``.
-
-        Returns the refit item ``(job, conv, c0, dx, grid_n, window)``,
-        where ``window`` is the trim window of a row bound for
-        :meth:`_refit_long` and None otherwise.
-        """
-        job, ya, yb, dx, n_a, n_b, c0, grid_n, trim = plan
-        if ya is None:
-            ya = _resample_operand(job[2], dx, n_a)
-        if yb is None:
-            yb = _resample_operand(job[3], dx, n_b)
+            self._work["fft_convs"] += 1
+        self._work["conv_macs"] += n_a * n_b
+        ya = self._operand_grid(a, dx, n_a)
+        yb = self._operand_grid(b, dx, n_b)
         # The one reduction whose float grouping depends on operand
         # length: never padded, always the per-op kernel.
         conv = _conv_kernel(ya, yb, fast=self.fast_conv)
         conv *= dx  # in place: both kernels return a fresh array
-        window = _long_row_window(conv, c0, dx) if trim else None
-        return (job, conv, c0, dx, grid_n, window)
-
-    def _convolve_all(self, plans: list) -> list:
-        """Every plan's compute step, with helpers when the level is large.
-
-        Helpers join only when the call has at least two jobs that plan
-        :data:`_PARALLEL_MACS` multiply-adds on average; otherwise the
-        calling thread runs the steps in job order.
-        """
-        costs = [plan[4] * plan[5] for plan in plans]  # n_a·n_b
-        helpers = min(_HELPERS, len(plans) - 1)
-        if helpers < 1 or sum(costs) < _PARALLEL_MACS * len(plans):
-            return [self._conv_compute(plan) for plan in plans]
-        drain = _Drain(self._conv_compute, plans, costs)
-        pool = _helper_pool(_HELPERS)
-        for _ in range(helpers):
-            pool.submit(drain.run)
-        drain.run()
-        return drain.join()
+        return (job, conv, xs_a[0] + xs_b[0], dx, grid_n)
 
     def _add_batch(self, jobs: list, results: list) -> None:
         """Convolve every unique sum job, then refit the results.
@@ -721,11 +570,8 @@ class BatchedGridEngine:
         Rows of at least :data:`_LONG_ROW` points refit in place; the
         shorter ones in length buckets of padded 2-D blocks.
         """
-        batched = len(jobs) >= _MIN_BATCH
-        items = self._convolve_all(
-            [self._conv_plan(job, batched) for job in jobs]
-        )
-        if not batched:
+        items = [self._conv_job(job) for job in jobs]
+        if len(items) < _MIN_BATCH:
             for item in items:
                 self._refit_single(item, results)
             return
@@ -761,7 +607,7 @@ class BatchedGridEngine:
         ``_trim_window``, clip/linspace/resample/trapezoid — minus the
         ``from_pdf`` re-validation of a grid this engine just built.
         """
-        job, conv, c0, dx, grid_n, _ = item
+        job, conv, c0, dx, grid_n = item
         # Only the trimmed window of the conv grid is ever materialized:
         # c0 + dx·arange(lo, hi+1) carries the exact per-element products
         # of the full-grid construction, and the cumulative trim needs the
@@ -785,18 +631,19 @@ class BatchedGridEngine:
         results[job[0]] = rv
 
     def _refit_long(self, items: list, results: list) -> None:
-        """Refit long convolution rows without a padded block.
+        """Trim and refit long convolution rows without a padded block.
 
-        Each row arrives with its trim window (:func:`_long_row_window`,
-        run in the compute step); the batch refits through one
+        Each row's trim window comes from an in-place cumulative
+        (:func:`_long_row_window`); the batch then refits through one
         :func:`interp_lattice` call on the conv grids ``c0 + dx·k``.
         """
         convs = [it[1] for it in items]
         c0 = np.array([it[2] for it in items])
         dxs = np.array([it[3] for it in items])
         grid_ns = np.array([it[4] for it in items], dtype=np.intp)
-        lo = np.array([it[5][0] for it in items], dtype=np.intp)
-        hi = np.array([it[5][1] for it in items], dtype=np.intp)
+        windows = [_long_row_window(*it[1:4]) for it in items]
+        lo = np.array([w[0] for w in windows], dtype=np.intp)
+        hi = np.array([w[1] for w in windows], dtype=np.intp)
 
         def resample(g: np.ndarray, out_xs: np.ndarray) -> np.ndarray:
             return interp_lattice(
@@ -823,7 +670,7 @@ class BatchedGridEngine:
         c0 = np.empty(P)
         dxs = np.empty(P)
         grid_ns = np.empty(P, dtype=np.intp)
-        for p, (_, conv, c, dx, gn, _) in enumerate(items):
+        for p, (_, conv, c, dx, gn) in enumerate(items):
             pdf2[p, : len(conv)] = conv
             lens[p] = len(conv)
             c0[p] = c
@@ -1053,7 +900,7 @@ class BatchedGridEngine:
         cap = _fast_max_points(grid_n) if self.fast_conv else _MAX_FINE_POINTS
         want = max(4 * grid_n, np.ceil((hi - lo) / min_dx) + 1)
         if self.fast_conv and want > cap:
-            self._max_capped += 1
+            self._work["max_capped"] += 1
         fine = int(min(want, cap))
         # The plan above reads every operand; the product only the live
         # ones (exact: a skipped factor is 1.0, see the module docstring).
@@ -1120,28 +967,35 @@ class BatchedGridEngine:
 
     @property
     def stats(self) -> dict[str, int]:
-        """Intern/memo pool sizes and fast-policy counters (diagnostics/tests).
+        """Intern/memo pool sizes and work counters (diagnostics/tests).
 
-        ``value_pool`` counts distinct operand *values* seen by the memos;
-        ``resample_memo`` counts the operand resamples computed (monotone:
-        a resample that is not memoized counts each time it is computed);
-        ``conv_macs`` sums the planned multiply-adds (n_a·n_b) of every
-        convolution computed;
-        ``conv_capped``/``max_capped`` count how often the fast-policy
-        budgets actually bound a plan (always 0 in exact mode), and
-        ``fft_convs`` how many convolutions dispatched to the FFT kernel.
+        The pool sizes describe this engine's own memos: ``rv_pool`` and
+        ``value_pool`` count the distinct duration RVs and operand *values*
+        it has seen, ``add_memo``/``max_memo`` the results it keeps.  A
+        forked walker's memos die with it, so they never count here.
+
+        The work counters (:data:`WORK_COUNTERS`) count what every walker
+        of this engine computed, its forked walkers included:
+        ``resample_memo`` the operand resamples computed (monotone: a
+        resample that is not memoized counts each time it is computed);
+        ``conv_macs`` the planned multiply-adds (n_a·n_b) of every
+        convolution computed; ``conv_capped``/``max_capped`` how often the
+        fast-policy budgets actually bound a plan (always 0 in exact mode),
+        and ``fft_convs`` how many convolutions dispatched to the FFT
+        kernel.
         """
         return {
             "rv_pool": len(self._rv_pool),
             "add_memo": len(self._add_memo),
             "max_memo": len(self._max_memo),
-            "resample_memo": self._resamples,
             "value_pool": len(self._value_keys),
-            "conv_macs": self._conv_macs,
-            "conv_capped": self._conv_capped,
-            "max_capped": self._max_capped,
-            "fft_convs": self._fft_convs,
+            **self._work,
         }
+
+    def add_work(self, counts: Mapping[str, int]) -> None:
+        """Add another walker's work counter deltas to this engine's."""
+        for name, n in counts.items():
+            self._work[name] += n
 
 
 def engine_for(

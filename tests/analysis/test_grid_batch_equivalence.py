@@ -9,9 +9,6 @@ resolutions, for single schedules and for lockstep panels of them.  The vectoriz
 against the numpy primitive they replace.
 """
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +39,7 @@ from repro.platform import (
 )
 from repro.schedule import ALL_HEURISTICS, heft
 from repro.schedule.random_schedule import random_schedule, random_schedules
-from repro.stochastic import NumericRV, StochasticModel, batch, beta_rv, point_rv
+from repro.stochastic import NumericRV, StochasticModel, beta_rv, point_rv
 from repro.stochastic.batch import (
     _LONG_ROW,
     _MIN_BATCH,
@@ -65,55 +62,6 @@ def assert_rv_equal(a, b, ctx=""):
     if not a.is_point:
         assert np.array_equal(a.pdf, b.pdf), ctx
     assert a.atom == b.atom, ctx
-
-
-class KernelThreads:
-    """Records which threads run the engine's convolution kernel (a context).
-
-    With ``wait_for_helper`` the calling thread's kernels wait (once, up to
-    10 s) until a helper has started one, so a call that takes the helper
-    path surely uses a helper however fast the caller drains it.
-    """
-
-    def __init__(self, wait_for_helper: bool = False):
-        self.caller = threading.get_ident()
-        self.threads: set[int] = set()
-        self.helper_started = threading.Event()
-        self._wait = wait_for_helper
-
-    def __enter__(self) -> "KernelThreads":
-        kernel = self._kernel = batch._conv_kernel
-
-        def recording(ya, yb, fast=False):
-            me = threading.get_ident()
-            self.threads.add(me)
-            if me != self.caller:
-                self.helper_started.set()
-            elif self._wait and not self.helper_started.wait(timeout=10):
-                self._wait = False  # no helper came: stop waiting
-            return kernel(ya, yb, fast=fast)
-
-        batch._conv_kernel = recording
-        return self
-
-    def __exit__(self, *exc) -> None:
-        batch._conv_kernel = self._kernel
-
-    @property
-    def helpers(self) -> set[int]:
-        return self.threads - {self.caller}
-
-
-def large_pairs(model: StochasticModel, k: int = 8) -> list:
-    """Wide finish RV + narrow comm RV sums, far above the helper gate.
-
-    At UL 1.01 and grid_n 65 each plans ~7e5 multiply-adds (a 16,384-point
-    capped finish resample against a ~40-point comm RV).
-    """
-    return [
-        (beta_rv(20.0 + j, 22.0 + j, grid_n=model.grid_n), model.rv(0.5 + 0.01 * j))
-        for j in range(k)
-    ]
 
 
 def workloads():
@@ -506,14 +454,9 @@ class TestLongRowRefit:
         _, n_a, n_b = _conv_grid_plan(a.dx, a.hi - a.lo, b.dx, b.hi - b.lo)
         return n_a + n_b - 1
 
-    @pytest.mark.parametrize("helpers", [0, 1], ids=["caller-only", "with-helpers"])
     @pytest.mark.parametrize("grid_n", [33, 65, 129])
     @pytest.mark.parametrize("ul", [1.01, 1.1])
-    def test_mixed_batch_matches_per_op_add(self, monkeypatch, ul, grid_n, helpers):
-        # With helpers every size takes the helper path, gate or not.
-        monkeypatch.setattr(batch, "_HELPERS", helpers)
-        if helpers:
-            monkeypatch.setattr(batch, "_PARALLEL_MACS", 0)
+    def test_mixed_batch_matches_per_op_add(self, ul, grid_n):
         model = StochasticModel(ul=ul, grid_n=grid_n)
         comm_w = (ul - 1.0) * 0.5
         pairs = []
@@ -543,163 +486,29 @@ class TestLongRowRefit:
         )
         assert len(direct_xs) == grid_n
 
-        with KernelThreads(wait_for_helper=bool(helpers)) as kernels:
-            got = BatchedGridEngine(model).add_pairs(pairs)
-        assert bool(kernels.helpers) == bool(helpers)
+        got = BatchedGridEngine(model).add_pairs(pairs)
         for k, (rv, (a, b)) in enumerate(zip(got, pairs)):
             assert_rv_equal(rv, a.add(b), f"row {k} ({lengths[k]} points)")
 
-
-def _level_used_a_helper(_: int) -> bool:
-    """Run one large sum level; whether a helper thread convolved in it."""
-    model = TestLevelParallelSums.MODEL
-    with KernelThreads(wait_for_helper=True) as kernels:
-        BatchedGridEngine(model).add_pairs(large_pairs(model))
-    return bool(kernels.helpers)
-
-
-def _within(seconds: float, fn):
-    """``fn()``'s result, failing the test if it has not returned in time."""
-    out: list = []
-    runner = threading.Thread(target=lambda: out.append(fn()), daemon=True)
-    runner.start()
-    runner.join(timeout=seconds)
-    assert not runner.is_alive(), f"still running after {seconds} s"
-    assert out, "raised; see the thread's traceback above"
-    return out[0]
-
-
-class TestLevelParallelSums:
-    """A level's sums on helper threads: the caller-only results, bit for bit."""
-
-    MODEL = StochasticModel(ul=1.01, grid_n=65)
-
-    def test_panel_walk_and_stats_match_caller_only(self, monkeypatch):
-        _, w = TestPanelWalk.PANEL_WORKLOADS[0]  # random_workload(30, …)
-        schedules = TestPanelWalk.panel(w)
-        drains = []
-
-        class CountingDrain(batch._Drain):
-            def __init__(self, *args):
-                drains.append(self)
-                super().__init__(*args)
-
-        monkeypatch.setattr(batch, "_Drain", CountingDrain)
-        walks = {}
-        for helpers in (0, 1):
-            monkeypatch.setattr(batch, "_HELPERS", helpers)
-            drains.clear()
-            engine = BatchedGridEngine(self.MODEL)
-            finishes = _walk_panel(schedules, engine)
-            walks[helpers] = (finishes, engine.stats, len(drains))
-        (serial, serial_stats, serial_drains) = walks[0]
-        (threaded, threaded_stats, threaded_drains) = walks[1]
-        # Some of the panel's levels pass the gate, and only those.
-        assert serial_drains == 0 and threaded_drains > 0
-        assert threaded_stats == serial_stats
-        assert serial_stats["conv_macs"] > 0
-        for k, (fa, fb) in enumerate(zip(serial, threaded)):
-            for v, (a, b) in enumerate(zip(fa, fb)):
-                assert_rv_equal(a, b, f"schedule {k} task {v}")
-
-    def test_helper_failure_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(batch, "_HELPERS", 1)
-        caller = threading.get_ident()
-        failed = threading.Event()
-        lock = threading.Lock()
-        running = [0]
-        kernel = batch._conv_kernel
-
-        def failing(ya, yb, fast=False):
-            with lock:
-                running[0] += 1
-            try:
-                if threading.get_ident() != caller:
-                    failed.set()
-                    raise RuntimeError("helper kernel failed")
-                failed.wait(timeout=10)
-                return kernel(ya, yb, fast=fast)
-            finally:
-                with lock:
-                    running[0] -= 1
-
-        monkeypatch.setattr(batch, "_conv_kernel", failing)
-        with pytest.raises(RuntimeError, match="helper kernel failed"):
-            BatchedGridEngine(self.MODEL).add_pairs(large_pairs(self.MODEL))
-        assert failed.is_set()
-        assert running[0] == 0  # no job still running when the caller raised
-        # The pool serves the next level as before.
-        monkeypatch.setattr(batch, "_conv_kernel", kernel)
-        pairs = large_pairs(self.MODEL)
-        for rv, (a, b) in zip(BatchedGridEngine(self.MODEL).add_pairs(pairs), pairs):
-            assert_rv_equal(rv, a.add(b))
-
-    def test_caller_finishes_a_level_while_every_helper_is_busy(self, monkeypatch):
-        monkeypatch.setattr(batch, "_HELPERS", 1)
-        release = threading.Event()
-        busy = batch._helper_pool(1).submit(release.wait, 10)
-        pairs = large_pairs(self.MODEL)
-        try:
-            got = BatchedGridEngine(self.MODEL).add_pairs(pairs)
-            # The caller took every job itself instead of waiting.
-            assert not busy.done()
-        finally:
-            release.set()
-        assert busy.result(timeout=10) is True
-        for rv, (a, b) in zip(got, pairs):
-            assert_rv_equal(rv, a.add(b))
-
-    def test_more_helpers_than_cores_under_fast_switching(self, monkeypatch):
-        # Every job on the helper path, 4 helpers, a thread switch every
-        # microsecond: a lost update to the drain would hang the call or
-        # misplace a result.
-        monkeypatch.setattr(batch, "_HELPERS", 4)
-        monkeypatch.setattr(batch, "_PARALLEL_MACS", 0)
-        model = StochasticModel(ul=1.1, grid_n=33)
+    @pytest.mark.parametrize(
+        "ul,grid_n,count", [(1.01, 65, 8), (1.1, 33, 40)], ids=["wide", "many"]
+    )
+    def test_level_of_one_shape_matches_per_op_add(self, ul, grid_n, count):
+        # A wide finish RV plus a narrow comm RV, over a whole level: at UL
+        # 1.01 each sum plans ~7e5 multiply-adds (16,384-point capped
+        # resamples), at UL 1.1 forty short rows share the padded blocks.
+        model = StochasticModel(ul=ul, grid_n=grid_n)
         pairs = [
-            (beta_rv(5.0 + j, 6.0 + 1.1 * j, grid_n=33), model.rv(0.5 + 0.01 * j))
-            for j in range(40)
+            (
+                beta_rv(20.0 + j, 22.0 + j, grid_n=grid_n)
+                if ul == 1.01
+                else beta_rv(5.0 + j, 6.0 + 1.1 * j, grid_n=grid_n),
+                model.rv(0.5 + 0.01 * j),
+            )
+            for j in range(count)
         ]
-        want = [a.add(b) for a, b in pairs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                got = _within(60, lambda: BatchedGridEngine(model).add_pairs(pairs))
-                for rv, ref in zip(got, want):
-                    assert_rv_equal(rv, ref)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.fleet
-    def test_forked_pool_after_the_parent_used_helpers(self, monkeypatch, tmp_path):
-        from repro.campaign import (
-            ArtifactCache,
-            Campaign,
-            CampaignCase,
-            ProcessPoolBackend,
-            SerialBackend,
-        )
-        from repro.experiments.cases import CaseSpec
-
-        monkeypatch.setattr(batch, "_HELPERS", 1)
-        assert _level_used_a_helper(0)  # this process's pool is running
-        # Two small cases with levels past the gate.
-        cases = [
-            CampaignCase(spec=spec, base_seed=11, n_random=6, grid_n=65)
-            for spec in (CaseSpec("ge", 4, 1.01), CaseSpec("random", 10, 1.1))
-        ]
-        serial = ArtifactCache(tmp_path / "serial")
-        forked = ArtifactCache(tmp_path / "forked")
-        Campaign(cases, backend=SerialBackend(), cache=serial).run()
-        _within(120, Campaign(cases, backend=ProcessPoolBackend(2), cache=forked).run)
-        names = sorted(p.name for p in serial.root.glob("*.json"))
-        assert len(names) == 2
-        for name in names:
-            assert (forked.root / name).read_bytes() == (serial.root / name).read_bytes()
-        # Forked children start their own helpers.
-        used = _within(120, lambda: ProcessPoolBackend(2).map(_level_used_a_helper, [0, 1]))
-        assert used == [True, True]
+        for rv, (a, b) in zip(BatchedGridEngine(model).add_pairs(pairs), pairs):
+            assert_rv_equal(rv, a.add(b))
 
 
 class TestNumpyReplicas:

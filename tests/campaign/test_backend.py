@@ -1,8 +1,11 @@
 """The ExecutionBackend protocol: resolution and equivalence."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.analysis import classical
 from repro.campaign import (
     BACKEND_NAMES,
     Campaign,
@@ -20,6 +23,11 @@ SPECS = [
     CaseSpec("random", 10, 1.1),
     CaseSpec("ge", 4, 1.01),
 ]
+
+
+def _walkers_probe(_: int) -> tuple[int, int]:
+    """This process's id and how many walkers its panel walks split across."""
+    return os.getpid(), classical._WALKERS
 
 
 def _cases(n=3):
@@ -131,6 +139,15 @@ class TestBackendMap:
         expect = [str(i) for i in items]
         assert ProcessPoolBackend(1).map(str, items) == expect
         assert ProcessPoolBackend(3).map(str, items) == expect
+
+    @pytest.mark.fleet
+    def test_pool_of_one_worker_per_cpu_walks_with_one_walker_each(self):
+        cpus = classical._WALKERS
+        seen = dict(ProcessPoolBackend(cpus).map(_walkers_probe, range(4 * cpus)))
+        assert set(seen.values()) == {1}
+        # A pool of fewer workers shares the CPUs out among them.
+        shared = ProcessPoolBackend(2).map(_walkers_probe, range(8))
+        assert {n for _, n in shared} == {max(1, cpus // 2)}
 
     def test_map_empty(self):
         assert ProcessPoolBackend(4).map(str, []) == []
