@@ -23,7 +23,11 @@ The schedule's disjunctive graph is converted to activity-on-arc form: task
 dependency becomes an arc carrying its communication RV (a point mass at 0
 for same-processor and disjunctive arcs).
 
-Two hot-path rewrites (both bit-identical to the frozen oracles in
+Every sum and maximum, the reduction's and the core walk's alike, runs
+through one batched grid-RV engine
+(:class:`~repro.stochastic.batch.BatchedGridEngine`), the only
+implementation of the model's precision policy.  Two hot-path rewrites
+(both bit-identical to the frozen oracles in
 :mod:`repro.analysis._reference`):
 
 * :func:`_reduce` drives the series/parallel fixpoint from a **worklist**
@@ -33,8 +37,7 @@ Two hot-path rewrites (both bit-identical to the frozen oracles in
   node-insertion order as the historical full scan, so the reduction
   *order* — and therefore every convolution association — is unchanged.
 * :func:`_longest_path_rv` walks the reduced core level-synchronously
-  through the batched grid-RV engine
-  (:class:`~repro.stochastic.batch.BatchedGridEngine`).
+  through the engine.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _activity_network(
     return g
 
 
-def _reduce(g: nx.MultiDiGraph, fast_conv: bool = False) -> None:
+def _reduce(g: nx.MultiDiGraph, engine: BatchedGridEngine) -> None:
     """Series/parallel reduction fixpoint, worklist-driven.
 
     Equivalent to the historical full-rescan fixpoint
@@ -115,9 +118,10 @@ def _reduce(g: nx.MultiDiGraph, fast_conv: bool = False) -> None:
     work is therefore proportional to the reductions performed instead of
     (passes × graph size).
 
-    ``fast_conv`` threads the fast precision policy into the per-op
-    ``add``/``maximum`` calls (the reduction operates on RV methods
-    directly, not through an engine).
+    Every series sum and parallel merge is one ``engine`` step, so the
+    reduction shares the walk's memos, counts in its ``stats`` and runs
+    under its model's precision policy.  A multi-arc merges by a pairwise
+    left fold in key order, as the full-rescan fixpoint does.
     """
     order = {v: i for i, v in enumerate(g.nodes)}
     pend_pairs = {(a, b) for a, b, _ in g.edges(keys=True)}
@@ -131,7 +135,7 @@ def _reduce(g: nx.MultiDiGraph, fast_conv: bool = False) -> None:
             if len(keys) > 1:
                 rv = g[a][b][keys[0]]["rv"]
                 for k in keys[1:]:
-                    rv = rv.maximum(g[a][b][k]["rv"], fast=fast_conv)
+                    (rv,) = engine.max_groups([[rv, g[a][b][k]["rv"]]])
                 g.remove_edges_from([(a, b, k) for k in keys])
                 g.add_edge(a, b, rv=rv)
                 # Merges change degrees: both endpoints become series
@@ -161,7 +165,7 @@ def _reduce(g: nx.MultiDiGraph, fast_conv: bool = False) -> None:
             (_, b, kb) = next(iter(g.out_edges(v, keys=True)))
             if a == v or b == v:  # pragma: no cover - self-loops impossible
                 continue
-            rv = g[a][v][ka]["rv"].add(g[v][b][kb]["rv"], fast=fast_conv)
+            (rv,) = engine.add_pairs([(g[a][v][ka]["rv"], g[v][b][kb]["rv"])])
             g.remove_node(v)
             if a == b:  # pragma: no cover - would be a cycle
                 continue
@@ -221,7 +225,7 @@ def dodin_makespan(
     """
     eng = engine_for(model, engine)
     g = _activity_network(schedule, model, engine=eng)
-    _reduce(g, fast_conv=eng.fast_conv)
+    _reduce(g, eng)
     if g.number_of_edges() == 1:
         _, _, data = next(iter(g.edges(data=True)))
         return data["rv"]

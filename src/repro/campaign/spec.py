@@ -62,7 +62,7 @@ class CampaignCase:
         batched fast path; ``montecarlo`` engine only).
     fast_conv:
         Opt the grid engines into the fast precision policy (see
-        :mod:`repro.stochastic.rv`; ``classical``/``dodin`` only).
+        :mod:`repro.stochastic.batch`; ``classical``/``dodin`` only).
     """
 
     spec: CaseSpec
@@ -198,8 +198,9 @@ class CampaignCase:
         The one place a bound on a case lives.  :meth:`at_scale` calls
         it, so a case no worker can run is refused up front instead of
         failing on the fleet.  ``StochasticModel`` and
-        :func:`~repro.core.study.evaluate_case` keep their own guards for
-        callers that build a case directly.
+        :func:`~repro.core.study.evaluate_case` guard only what they
+        cannot run; the grid-engines-only rule for ``fast_conv`` is here
+        alone.
         """
         _check_graph(self.spec)
         for name, value, minimum in (
@@ -281,7 +282,9 @@ class CampaignCase:
         from repro.core.study import evaluate_case
 
         workload = build_workload(self.spec, base_seed=self.base_seed)
-        model = StochasticModel(ul=self.spec.ul, grid_n=self.grid_n)
+        model = StochasticModel(
+            ul=self.spec.ul, grid_n=self.grid_n, fast_conv=self.fast_conv
+        )
         return evaluate_case(
             workload,
             model,
@@ -294,7 +297,6 @@ class CampaignCase:
             name=self.spec.name,
             mc_realizations=self.mc_realizations,
             mc_batch=self.mc_batch,
-            fast_conv=self.fast_conv,
         )
 
 

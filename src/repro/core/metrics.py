@@ -199,7 +199,6 @@ def evaluate_schedule(
     n_realizations: int = 10_000,
     rng: int | None | np.random.Generator = None,
     engine=None,
-    fast_conv: bool = False,
 ) -> RobustnessMetrics:
     """Compute all §IV metrics for ``schedule`` under ``model``.
 
@@ -210,18 +209,10 @@ def evaluate_schedule(
     :class:`~repro.stochastic.batch.BatchedGridEngine` across schedules of
     the same model (classical/Dodin only) — its intern pools and
     value-keyed memos make a case panel reuse every repeated duration RV
-    and sub-expression.  ``fast_conv=True`` opts into the fast grid-algebra
-    precision policy (see :mod:`repro.stochastic.rv`); it applies only to
-    the grid engines, so other methods raise rather than silently ignore
-    it.  A shared engine must have been built for the same model, policy
-    included: the grid walks raise ``ValueError`` otherwise.
+    and sub-expression.  A shared engine must have been built for the same
+    model, precision policy included: the grid walks raise ``ValueError``
+    otherwise.
     """
-    if fast_conv and method not in ("classical", "dodin"):
-        raise ValueError(
-            f"fast_conv applies to the grid engines only, not method={method!r}"
-        )
-    if fast_conv and not model.fast_conv:
-        model = model.with_fast_conv()
     if method == "classical":
         rv: NumericRV | NormalRV = classical_makespan(
             schedule, model, engine=engine

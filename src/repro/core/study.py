@@ -69,7 +69,6 @@ def evaluate_case(
     name: str = "",
     mc_realizations: int = 10_000,
     mc_batch: bool = False,
-    fast_conv: bool = False,
 ) -> CaseResult:
     """Evaluate ``n_random`` random schedules + ``heuristics`` on one case.
 
@@ -87,10 +86,6 @@ def evaluate_case(
     campaign fast path.  Its draw stream is deterministic in ``rng`` but
     differs from the per-schedule stream, so batched and unbatched panels
     agree statistically, not bit-for-bit.
-
-    ``fast_conv`` opts the grid engines (classical/Dodin only — other
-    methods raise) into the fast precision policy documented in
-    :mod:`repro.stochastic.rv`.
 
     For the grid engines the whole case panel shares **one**
     :class:`~repro.stochastic.batch.BatchedGridEngine`: every repeated
@@ -110,12 +105,6 @@ def evaluate_case(
         raise ValueError(
             f"mc_batch applies to the montecarlo method only, got method={method!r}"
         )
-    if fast_conv and method not in ("classical", "dodin"):
-        raise ValueError(
-            f"fast_conv applies to the grid engines only, not method={method!r}"
-        )
-    if fast_conv and not model.fast_conv:
-        model = model.with_fast_conv()
     gen = as_generator(rng)
 
     schedules = chain(

@@ -50,15 +50,29 @@ batched blocks — a single schedule's level rarely reaches
 
 Precision policy
 ----------------
-The engine honours ``model.fast_conv``: under the fast policy every
-convolution plan is capped at the :func:`rv._fast_conv_points` budget,
-every N-way maximum fine grid at :func:`rv._fast_max_points`, and large
-balanced convolutions dispatch to the FFT kernel — the same arithmetic as
-the per-op ``fast=True`` paths in :mod:`repro.stochastic.rv`.  The
-default (exact) mode is untouched and remains the bit-identity contract
-below; :attr:`BatchedGridEngine.stats` reports how often the fast caps
-actually bound (``conv_capped``/``max_capped``/``fft_convs``) so tests
-can assert the policy engaged.
+The common-step planner (:func:`rv._conv_grid_plan`) resolves the *finer*
+of the two operand steps, so a narrow communication RV imposes its fine
+step on every wide partner and the intermediate grids of a dense-graph
+walk grow to ~16k points (the "convolution wall").  ``model.fast_conv``
+selects the policy, and this engine is the only implementation of both —
+every grid walk, Dodin's series/parallel reduction included, computes its
+sums and maxima here:
+
+* **exact** (the default, and the oracle): the historical plan,
+  bit-identical to the per-op :class:`~repro.stochastic.rv.NumericRV`
+  methods (see *Bit-identity* below);
+* **fast**: convolution plans cap at ``_FAST_CONV_FACTOR·grid_n`` points
+  and N-way maximum fine grids at ``_FAST_MAX_FACTOR·grid_n``, and
+  convolutions whose operands are both large dispatch to an FFT kernel
+  (:func:`_fft_convolve`; the ~1e-13 ringing is clipped at zero).
+
+The fast policy's error is *measured* against the exact oracle
+(``tests/analysis/test_fast_conv.py``; docs/performance.md has the bounds,
+~5e-3 pdf sup-error and ≤ 3 % relative on the §IV metrics at fig-6
+shapes), and tier-1 pins its bytes by digest, since no second
+implementation reproduces them.  :attr:`BatchedGridEngine.stats` reports
+how often the caps bound (``conv_capped``/``max_capped``/``fft_convs``);
+when none did, fast output equals exact output bit-for-bit.
 
 Bit-identity
 ------------
@@ -95,14 +109,10 @@ from repro.stochastic.grid import cumulative, resample_pdf
 from repro.stochastic.model import StochasticModel
 from repro.stochastic.rv import (
     NumericRV,
-    _FFT_MIN_OPERAND,
     _MAX_CONV_POINTS,
     _MAX_FINE_POINTS,
     _TAIL_EPS,
     _conv_grid_plan,
-    _conv_kernel,
-    _fast_conv_points,
-    _fast_max_points,
     _max_cell_guard,
     _rescue_lost_operand,
     _trim_window,
@@ -141,6 +151,21 @@ _MIN_BATCH = 6
 #: bit-identical.
 _LONG_ROW = 1024
 
+#: Fast-policy resolution budget, in multiples of the output grid size:
+#: convolution plans cap at ``_FAST_CONV_FACTOR·grid_n`` points and maximum
+#: fine grids at ``_FAST_MAX_FACTOR·grid_n``.  Chosen by measurement (see
+#: docs/performance.md): 8×/16× keeps the §IV metric deltas ≤ ~3 % relative
+#: (makespan mean ≤ ~3e-4) at the fig-6 shapes while removing the ~16k-point
+#: intermediate grids that dominate dense-random walks.
+_FAST_CONV_FACTOR = 8
+_FAST_MAX_FACTOR = 16
+
+#: FFT dispatch threshold (fast policy only): the rfft round trip beats the
+#: direct O(N²) product once *both* operands reach this many points
+#: (measured crossover ≈ (512, 512) on the bench machine; direct wins at
+#: every asymmetric shape like (16384, 65) because the product is small).
+_FFT_MIN_OPERAND = 512
+
 #: The :attr:`BatchedGridEngine.stats` keys that count work done.  A forked
 #: walker sends its deltas of these back and its parent adds them
 #: (:meth:`BatchedGridEngine.add_work`); the other keys size pools that
@@ -148,6 +173,53 @@ _LONG_ROW = 1024
 WORK_COUNTERS = (
     "resample_memo", "conv_macs", "conv_capped", "max_capped", "fft_convs"
 )
+
+
+def _fast_conv_points(grid_n: int) -> int:
+    """Fast-policy convolution plan cap for an output grid of ``grid_n``."""
+    return min(_FAST_CONV_FACTOR * grid_n, _MAX_CONV_POINTS)
+
+
+def _fast_max_points(grid_n: int) -> int:
+    """Fast-policy ``max_of`` fine-grid cap for an output grid of ``grid_n``."""
+    return min(_FAST_MAX_FACTOR * grid_n, _MAX_FINE_POINTS)
+
+
+def _fft_convolve(ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two sample vectors via real FFTs.
+
+    Equivalent to ``np.convolve(ya, yb)`` up to ~1e-13 ringing, which is
+    clipped at zero so densities stay non-negative.  Fast policy only —
+    the dispatch in :func:`_conv_kernel` keeps the exact path on the
+    direct product.  :mod:`scipy.fft` is imported here, on first use, so a
+    run in which the FFT never fires never loads it.
+    """
+    try:  # SciPy's pocketfft plans composite sizes.
+        from scipy.fft import irfft, next_fast_len, rfft
+    except ImportError:  # pragma: no cover - exercised on SciPy-less installs
+        rfft, irfft, next_fast_len = np.fft.rfft, np.fft.irfft, _next_pow2
+    n_out = len(ya) + len(yb) - 1
+    nfft = next_fast_len(n_out)
+    conv = irfft(rfft(ya, nfft) * rfft(yb, nfft), nfft)[:n_out]
+    return np.maximum(conv, 0.0)
+
+
+def _next_pow2(n: int) -> int:
+    """Next power of two ≥ n (numpy fallback for scipy's planner)."""
+    return 1 if n <= 1 else 1 << (n - 1).bit_length()
+
+
+def _conv_kernel(ya: np.ndarray, yb: np.ndarray, fast: bool = False) -> np.ndarray:
+    """Convolution kernel dispatch: direct product, or FFT under ``fast``.
+
+    The FFT only wins when *both* operands are large (the planner's capped
+    grids make the typical fast-policy product small, where the direct C
+    kernel stays ahead), so the fast policy dispatches on
+    :data:`_FFT_MIN_OPERAND`.
+    """
+    if fast and min(len(ya), len(yb)) >= _FFT_MIN_OPERAND:
+        return _fft_convolve(ya, yb)
+    return np.convolve(ya, yb)
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -535,10 +607,10 @@ class BatchedGridEngine:
         """Plan + convolve one unique sum job (per-op primitives).
 
         Exact mode plans at :data:`rv._MAX_CONV_POINTS` and always uses the
-        direct ``np.convolve`` product.  Fast mode caps the plan at the
-        :func:`rv._fast_conv_points` budget of the output grid and lets
-        :func:`rv._conv_kernel` dispatch large balanced products to the FFT
-        — identical arithmetic to ``NumericRV.add(..., fast=True)``.
+        direct ``np.convolve`` product — the arithmetic of
+        ``NumericRV.add``.  Fast mode caps the plan at the
+        :func:`_fast_conv_points` budget of the output grid and lets
+        :func:`_conv_kernel` dispatch large balanced products to the FFT.
         """
         a, b = job[2], job[3]
         xs_a, xs_b = a.xs, b.xs

@@ -52,8 +52,9 @@ class StochasticModel:
         Dodin walks bound their intermediate convolution/maximum grids
         proportionally to ``grid_n`` and dispatch large balanced
         convolutions to an FFT kernel (see the precision-policy section of
-        :mod:`repro.stochastic.rv`).  The default ``False`` is the exact
-        mode, bit-identical to the frozen reference walks.  The duration
+        :mod:`repro.stochastic.batch`).  The default ``False`` is the exact
+        mode, bit-identical to the frozen reference walks.  The analysis
+        entry points take the policy from the model alone.  The duration
         RVs built by :meth:`rv` are unaffected either way — only how the
         analysis engines *combine* them changes.
     """
@@ -90,9 +91,9 @@ class StochasticModel:
         """Copy of this model with a different uncertainty level."""
         return replace(self, ul=ul)
 
-    def with_fast_conv(self, fast_conv: bool = True) -> "StochasticModel":
-        """Copy of this model with the fast precision policy toggled."""
-        return replace(self, fast_conv=fast_conv)
+    def with_fast_conv(self) -> "StochasticModel":
+        """Copy of this model under the fast precision policy."""
+        return replace(self, fast_conv=True)
 
     # ------------------------------------------------------------------ #
     # closed-form moments

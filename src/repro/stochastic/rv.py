@@ -23,33 +23,9 @@ points "largely sufficient" and we default slightly higher for headroom.
 Convolutions are computed with :func:`numpy.convolve` at a common step: at
 these sizes the direct O(N²) product is faster than FFT *and* free of ringing
 (negative lobes), which matters because PDFs must stay non-negative.
-
-Precision policy (exact vs ``fast``)
-------------------------------------
-The common-step planner (:func:`_conv_grid_plan`) resolves the *finer* of
-the two operand steps, coarsening only past :data:`_MAX_CONV_POINTS` — so a
-narrow communication RV imposes its fine step on every wide partner and the
-intermediate grids of a dense-graph walk grow to ~16k points (the
-"convolution wall").  Every operation therefore has two modes:
-
-* **exact** (the default, and the oracle): the historical plan, bit-identical
-  to the frozen reference walks in :mod:`repro.analysis._reference`;
-* **fast** (``fast=True`` on :meth:`NumericRV.add` / :meth:`NumericRV.max_of`,
-  ``fast_conv=True`` on the model/engine/campaign layers): intermediate
-  resolution is *bounded* proportionally to the output grid —
-  convolution plans cap at ``_FAST_CONV_FACTOR·grid_n`` points and N-way
-  maximum fine grids at ``_FAST_MAX_FACTOR·grid_n`` — and convolutions whose
-  operands are both large dispatch to an FFT kernel (:func:`_fft_convolve`,
-  SciPy's ``scipy.fft`` when importable, :mod:`numpy.fft` otherwise; the
-  ~1e-13 ringing is clipped at zero).
-
-The fast mode is a documented approximation, not a drop-in: its error is
-*measured* against the exact oracle (``tests/analysis/test_fast_conv.py``
-asserts ``max |pdf_fast − pdf_exact|·dx ≤ 2e-2`` and per-metric deltas; see
-docs/performance.md for the measured bounds, ~5e-3 pdf sup-error and
-≤ 3 % relative on the §IV metrics at fig-6 shapes).  When no plan exceeds
-the caps and the FFT never fires, fast output equals exact output
-bit-for-bit.
+The per-op methods here are exact-only: they are the oracle that the
+level-batched engine in :mod:`repro.stochastic.batch` reproduces, and that
+engine alone implements the opt-in fast precision policy.
 
 Atom accounting
 ---------------
@@ -91,21 +67,6 @@ _MAX_CONV_POINTS = 1 << 14
 
 #: Hard cap on the N-way maximum's shared fine grid (``max_of``).
 _MAX_FINE_POINTS = 8192
-
-#: Fast-mode resolution budget, in multiples of the output grid size:
-#: convolution plans cap at ``_FAST_CONV_FACTOR·grid_n`` points and maximum
-#: fine grids at ``_FAST_MAX_FACTOR·grid_n``.  Chosen by measurement (see
-#: docs/performance.md): 8×/16× keeps the §IV metric deltas ≤ ~3 % relative
-#: (makespan mean ≤ ~3e-4) at the fig-6 shapes while removing the ~16k-point
-#: intermediate grids that dominate dense-random walks.
-_FAST_CONV_FACTOR = 8
-_FAST_MAX_FACTOR = 16
-
-#: FFT dispatch threshold (fast mode only): the rfft round trip beats the
-#: direct O(N²) product once *both* operands reach this many points
-#: (measured crossover ≈ (512, 512) on the bench machine; direct wins at
-#: every asymmetric shape like (16384, 65) because the product is small).
-_FFT_MIN_OPERAND = 512
 
 #: Per-side probability mass dropped when trimming numerical tails.  After a
 #: long chain of sums the support widens like k while the density's effective
@@ -436,15 +397,12 @@ class NumericRV:
 
     __rmul__ = __mul__
 
-    def add(
-        self, other: "NumericRV", grid_n: int | None = None, fast: bool = False
-    ) -> "NumericRV":
+    def add(self, other: "NumericRV", grid_n: int | None = None) -> "NumericRV":
         """Distribution of X + Y for independent X, Y.
 
         The PDFs are brought to a common step and convolved; the result is
         refit to ``grid_n`` points (default: the larger of the two operand
-        grids).  ``fast`` opts into the bounded-resolution/FFT precision
-        policy (see the module docstring); the default is the exact plan.
+        grids).
         """
         if self.is_point:
             return other.shift(self.lo)
@@ -452,19 +410,15 @@ class NumericRV:
             return self.shift(other.lo)
         if grid_n is None:
             grid_n = max(len(self.xs), len(other.xs))
-        max_points = _fast_conv_points(grid_n) if fast else _MAX_CONV_POINTS
-        xs, pdf = _convolve(
-            self.xs, self.pdf, other.xs, other.pdf,
-            max_points=max_points, fast=fast,
-        )
+        xs, pdf = _convolve(self.xs, self.pdf, other.xs, other.pdf)
         xs, pdf = _trim_tails(xs, pdf)
         return NumericRV.from_pdf(xs, pdf, grid_n=grid_n)
 
     def maximum(
-        self, other: "NumericRV", grid_n: int | None = None, fast: bool = False
+        self, other: "NumericRV", grid_n: int | None = None
     ) -> "NumericRV":
         """Distribution of max(X, Y) for independent X, Y (CDF product)."""
-        return NumericRV.max_of([self, other], grid_n=grid_n, fast=fast)
+        return NumericRV.max_of([self, other], grid_n=grid_n)
 
     def sum_iid(self, k: int, grid_n: int | None = None) -> "NumericRV":
         """Distribution of the sum of ``k`` independent copies of X.
@@ -505,9 +459,7 @@ class NumericRV:
 
     @staticmethod
     def max_of(
-        rvs: "Iterable[NumericRV]",
-        grid_n: int | None = None,
-        fast: bool = False,
+        rvs: "Iterable[NumericRV]", grid_n: int | None = None
     ) -> "NumericRV":
         """Maximum of several independent RVs.
 
@@ -524,11 +476,6 @@ class NumericRV:
         A result whose resample onto the output grid misplaces probability
         mass (an operand narrower than one output cell inside a wider one)
         is rebuilt from exact cell masses by :func:`_max_cell_guard`.
-
-        ``fast`` bounds the shared fine grid at the
-        :func:`_fast_max_points` budget instead of
-        :data:`_MAX_FINE_POINTS` (the fast precision policy; the existing
-        dx-based evaluation bound then holds at the coarser step).
         """
         rvs = list(rvs)
         if not rvs:
@@ -554,8 +501,9 @@ class NumericRV:
         # the union support — otherwise a tight distribution inside a wide
         # one is stepped over and its CDF contribution mangled.
         min_dx = min(rv.dx for rv in continuous)
-        fine_cap = _fast_max_points(grid_n) if fast else _MAX_FINE_POINTS
-        fine = int(min(max(4 * grid_n, np.ceil((hi - lo) / min_dx) + 1), fine_cap))
+        fine = int(
+            min(max(4 * grid_n, np.ceil((hi - lo) / min_dx) + 1), _MAX_FINE_POINTS)
+        )
         xs = np.linspace(lo, hi, fine)
         f = np.ones(fine)
         for rv in continuous:
@@ -671,16 +619,6 @@ def _trim_tails(
     return xs[lo_idx : hi_idx + 1], pdf[lo_idx : hi_idx + 1]
 
 
-def _fast_conv_points(grid_n: int) -> int:
-    """Fast-mode convolution plan cap for an output grid of ``grid_n``."""
-    return min(_FAST_CONV_FACTOR * grid_n, _MAX_CONV_POINTS)
-
-
-def _fast_max_points(grid_n: int) -> int:
-    """Fast-mode ``max_of`` fine-grid cap for an output grid of ``grid_n``."""
-    return min(_FAST_MAX_FACTOR * grid_n, _MAX_FINE_POINTS)
-
-
 def _conv_grid_plan(
     dx_a: float,
     width_a: float,
@@ -692,7 +630,7 @@ def _conv_grid_plan(
 
     The step is the finer of the two operand steps, coarsened when the
     joint support would exceed ``max_points`` — :data:`_MAX_CONV_POINTS`
-    in exact mode, the :func:`_fast_conv_points` budget under the fast
+    in exact mode, a smaller budget under the batched engine's fast
     precision policy.  Split out so the batched engine plans with the
     identical arithmetic.
     """
@@ -710,17 +648,15 @@ def _rescue_lost_operand(
 ) -> np.ndarray:
     """Mass-preserving fallback when a conv grid undersamples an operand.
 
-    Under the fast policy the coarsened common step can exceed a narrow
-    operand's entire support; ``resample_pdf`` then sees the density only
-    at (or beyond) its support endpoints, where Beta-family pdfs vanish,
-    and the operand's mass is lost entirely — a fatal zero-mass
-    convolution.  At that resolution the operand *is* a point mass, so
-    represent it as the lever-rule split of unit mass over the two grid
-    points bracketing its mean: mass and mean are preserved, and the
-    error is bounded by the cell width like every other fast-policy
-    approximation.  Exact-mode plans always resolve the finer operand
-    step, so on the exact path ``y`` is never all-zero and this returns
-    it untouched (a zero-mass operand would previously have raised).
+    A coarsened common step (the fast policy's budget, or the exact plan
+    past :data:`_MAX_CONV_POINTS`) can exceed a narrow operand's entire
+    support; ``resample_pdf`` then sees the density only at (or beyond)
+    its support endpoints, where Beta-family pdfs vanish, and the
+    operand's mass is lost entirely — a fatal zero-mass convolution.  At
+    that resolution the operand *is* a point mass, so represent it as the
+    lever-rule split of unit mass over the two grid points bracketing its
+    mean: mass and mean are preserved, and the error is bounded by the
+    cell width.  Any ``y`` with mass is returned untouched.
     """
     if y.any():
         return y
@@ -734,64 +670,22 @@ def _rescue_lost_operand(
     return out
 
 
-def _fft_convolve(ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two sample vectors via real FFTs.
-
-    Equivalent to ``np.convolve(ya, yb)`` up to ~1e-13 ringing, which is
-    clipped at zero so densities stay non-negative.  Fast mode only — the
-    dispatch in :func:`_conv_kernel` keeps the exact path on the direct
-    product.  :mod:`scipy.fft` is imported here, on first use, so a run in
-    which the FFT never fires never loads it.
-    """
-    try:  # SciPy's pocketfft plans composite sizes.
-        from scipy.fft import irfft, next_fast_len, rfft
-    except ImportError:  # pragma: no cover - exercised on SciPy-less installs
-        rfft, irfft, next_fast_len = np.fft.rfft, np.fft.irfft, _next_pow2
-    n_out = len(ya) + len(yb) - 1
-    nfft = next_fast_len(n_out)
-    conv = irfft(rfft(ya, nfft) * rfft(yb, nfft), nfft)[:n_out]
-    return np.maximum(conv, 0.0)
-
-
-def _next_pow2(n: int) -> int:
-    """Next power of two ≥ n (numpy fallback for scipy's planner)."""
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
-def _conv_kernel(ya: np.ndarray, yb: np.ndarray, fast: bool = False) -> np.ndarray:
-    """Convolution kernel dispatch: direct product, or FFT under ``fast``.
-
-    The FFT only wins when *both* operands are large (the planner's capped
-    grids make the typical fast-mode product small, where the direct C
-    kernel stays ahead), so fast mode dispatches on
-    :data:`_FFT_MIN_OPERAND`.
-    """
-    if fast and min(len(ya), len(yb)) >= _FFT_MIN_OPERAND:
-        return _fft_convolve(ya, yb)
-    return np.convolve(ya, yb)
-
-
 def _convolve(
     xs_a: np.ndarray,
     pdf_a: np.ndarray,
     xs_b: np.ndarray,
     pdf_b: np.ndarray,
-    max_points: int = _MAX_CONV_POINTS,
-    fast: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convolve two uniformly sampled PDFs, returning (xs, pdf) samples.
 
     Both inputs are resampled to a common step (the finer of the two, coarsened
-    if the joint support would exceed ``max_points``).  ``fast`` enables the
-    FFT kernel dispatch (see :func:`_conv_kernel`).
+    if the joint support would exceed :data:`_MAX_CONV_POINTS`).
     """
     dx_a = xs_a[1] - xs_a[0]
     dx_b = xs_b[1] - xs_b[0]
     width_a = xs_a[-1] - xs_a[0]
     width_b = xs_b[-1] - xs_b[0]
-    dx, n_a, n_b = _conv_grid_plan(
-        dx_a, width_a, dx_b, width_b, max_points=max_points
-    )
+    dx, n_a, n_b = _conv_grid_plan(dx_a, width_a, dx_b, width_b)
     # Both grids must share the *exact* same step for the convolution axis to
     # be consistent, so build them with arange (the last point may overshoot
     # the support slightly; the density is zero there).
@@ -799,6 +693,6 @@ def _convolve(
     grid_b = xs_b[0] + dx * np.arange(n_b)
     ya = _rescue_lost_operand(xs_a, pdf_a, grid_a, resample_pdf(xs_a, pdf_a, grid_a))
     yb = _rescue_lost_operand(xs_b, pdf_b, grid_b, resample_pdf(xs_b, pdf_b, grid_b))
-    conv = _conv_kernel(ya, yb, fast=fast) * dx
+    conv = np.convolve(ya, yb) * dx
     out_xs = (xs_a[0] + xs_b[0]) + dx * np.arange(len(conv))
     return out_xs, conv

@@ -8,6 +8,7 @@ from repro.dag import TaskGraph, chain_dag, fork_join_dag
 from repro.platform import Platform, Workload
 from repro.schedule import Schedule
 from repro.stochastic import StochasticModel
+from repro.stochastic.batch import BatchedGridEngine
 
 
 def _workload(graph, durations, m=1):
@@ -21,8 +22,21 @@ class TestReduction:
         w = _workload(g, [1, 2, 3, 4, 5, 6])
         s = Schedule.from_proc_orders(w, [0] * 6, [tuple(range(6))])
         net = _activity_network(s, model)
-        _reduce(net)
+        _reduce(net, BatchedGridEngine(model))
         assert net.number_of_edges() == 1
+
+    @pytest.mark.parametrize("fast_conv", [False, True], ids=["exact", "fast"])
+    def test_reduction_counts_in_engine_stats(self, fast_conv):
+        # Every sum of the chain is a series splice; the engine computes
+        # the 5 convolutions and counts them like a walk's.
+        model = StochasticModel(ul=1.1, grid_n=65, fast_conv=fast_conv)
+        g = chain_dag(6)
+        w = _workload(g, [1, 2, 3, 4, 5, 6])
+        s = Schedule.from_proc_orders(w, [0] * 6, [tuple(range(6))])
+        engine = BatchedGridEngine(model)
+        dodin_makespan(s, model, engine=engine)
+        assert engine.stats["add_memo"] == 5
+        assert engine.stats["conv_macs"] == 33_815
 
     def test_fork_join_reduces_to_single_edge(self, model):
         g = fork_join_dag(3)
@@ -31,7 +45,7 @@ class TestReduction:
             w, [0, 0, 1, 2, 0], [(0, 1, 4), (2,), (3,)]
         )
         net = _activity_network(s, model)
-        _reduce(net)
+        _reduce(net, BatchedGridEngine(model))
         assert net.number_of_edges() == 1
 
     def test_chain_sum_exact(self, model):

@@ -1,8 +1,10 @@
 """Fast precision policy vs the exact oracle: measured error bounds.
 
 The ``fast_conv`` policy (capped conv/max grids + FFT dispatch, see the
-precision-policy section of :mod:`repro.stochastic.rv`) trades a bounded,
-*measured* amount of grid-resolution accuracy for wall-clock.  This suite
+precision-policy section of :mod:`repro.stochastic.batch`, its only
+implementation) trades a bounded, *measured* amount of grid-resolution
+accuracy for wall-clock.  The model carries it; the per-op
+:class:`~repro.stochastic.rv.NumericRV` methods are exact-only.  This suite
 pins the contract:
 
 * across heuristics × graph families × ULs the makespan density stays
@@ -15,10 +17,14 @@ pins the contract:
   ~16k-point grids) the caps are asserted to actually bind, via the
   engine's ``conv_capped`` counter;
 * the FFT kernel itself matches ``np.convolve`` to ~1e-10;
-* the policy is threaded explicitly (ValueError on non-grid methods, on
-  engine/model policy mismatches) and changes campaign cache keys only
-  when enabled.
+* with no per-op fast path left to compare against, one sha256 digest
+  pins the fast Dodin makespans' bytes (the golden test pins the fast
+  classical walk through the ``dense-approx`` artifacts);
+* the policy travels on the model (ValueError on engine/model policy
+  mismatches) and changes campaign cache keys only when enabled.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -42,13 +48,13 @@ from repro.platform import (
 )
 from repro.schedule import ALL_HEURISTICS, heft
 from repro.stochastic import StochasticModel
-from repro.stochastic.batch import BatchedGridEngine
-from repro.stochastic.rv import (
+from repro.stochastic.batch import (
     _FFT_MIN_OPERAND,
-    NumericRV,
+    BatchedGridEngine,
     _conv_kernel,
     _fft_convolve,
 )
+from repro.stochastic.rv import NumericRV
 
 #: The documented density bound: max |pdf_fast − pdf_exact|·dx.
 PDF_ERR_BOUND = 2e-2
@@ -192,9 +198,18 @@ class TestNarrowOperandRescue:
         narrow = NumericRV.from_pdf(xs_n, pdf_n)
         return wide, narrow
 
-    def test_per_op_add_survives_and_keeps_mean(self):
+    @staticmethod
+    def _fast_add(a, b):
+        engine = BatchedGridEngine(
+            StochasticModel(ul=1.1, grid_n=65).with_fast_conv()
+        )
+        (out,) = engine.add_pairs([(a, b)])
+        assert engine.stats["conv_capped"] == 1
+        return out
+
+    def test_fast_engine_add_survives_and_keeps_mean(self):
         wide, narrow = self._wide_and_narrow()
-        out = wide.add(narrow, fast=True)
+        out = self._fast_add(wide, narrow)
         want = wide.mean() + narrow.mean()
         # The dominant error is the 65-point output refit (cell ~15.6 over
         # the ~1000-wide support), in both modes; the rescue must stay
@@ -202,23 +217,14 @@ class TestNarrowOperandRescue:
         assert abs(out.mean() - want) <= out.xs[1] - out.xs[0]
         assert abs(float(np.trapezoid(out.pdf, x=out.xs)) - 1.0) < 1e-9
 
-    def test_engine_add_matches_per_op(self):
-        wide, narrow = self._wide_and_narrow()
-        engine = BatchedGridEngine(
-            StochasticModel(ul=1.1, grid_n=65).with_fast_conv()
-        )
-        (got,) = engine.add_pairs([(wide, narrow)])
-        ref = wide.add(narrow, fast=True)
-        assert np.array_equal(got.xs, ref.xs)
-        assert np.array_equal(got.pdf, ref.pdf)
-
     def test_exact_mode_unaffected(self):
         wide, narrow = self._wide_and_narrow()
-        fast = wide.add(narrow, fast=True)
+        fast = self._fast_add(wide, narrow)
         exact = wide.add(narrow)
-        # The exact planner resolves the narrow step (the rescue never
-        # fires there), and the fast result must agree with it at the
-        # shared output resolution.
+        # The exact plan coarsens here too (the joint support passes its
+        # 16,384-point cap, so the narrow operand is rescued as well), and
+        # the fast result must agree with it at the shared output
+        # resolution.
         assert abs(fast.mean() - exact.mean()) <= exact.xs[1] - exact.xs[0]
         assert pdf_sup_error(fast, exact) <= PDF_ERR_BOUND
 
@@ -257,6 +263,45 @@ class TestDenseRandomErrorBound:
         assert stats["fft_convs"] == 0
 
 
+class TestDodinDigest:
+    """The fast policy's bytes, pinned where no second path can check them.
+
+    The engine is the fast policy's only implementation, so no oracle
+    reproduces its bytes; this sha256 over ``xs``, ``pdf`` and ``atom`` of
+    fast Dodin makespans does.  It was recorded while Dodin's reduction
+    still ran the per-op fast arithmetic, and moving the reduction onto
+    the engine left it unchanged.  Inputs: :data:`WORKLOADS` × HEFT/BIL/BMCT
+    at UL 1.01 and 1.1, then the dense random_n100 HEFT schedule at both
+    ULs, where the caps bind.
+    """
+
+    DIGEST = "85f982795684811740d7a5a67cd24417e29e0d5965ffabbe59a22449a42a7cfe"
+
+    @pytest.mark.usefixtures("pinned_libs")
+    def test_fast_dodin_makespans_match_digest(self):
+        panel = [
+            ALL_HEURISTICS[hname](w)
+            for _, w in WORKLOADS
+            for hname in ("heft", "bil", "bmct")
+        ]
+        dense = heft(random_workload(100, 8, rng=3))
+        runs = [(ul, s) for ul in (1.01, 1.1) for s in panel]
+        runs += [(ul, dense) for ul in (1.01, 1.1)]
+        digest = hashlib.sha256()
+        capped = []
+        for ul, s in runs:
+            model = StochasticModel(ul=ul, grid_n=65).with_fast_conv()
+            engine = BatchedGridEngine(model)
+            rv = dodin_makespan(s, model, engine=engine)
+            digest.update(rv.xs.tobytes())
+            if rv.pdf is not None:
+                digest.update(rv.pdf.tobytes())
+            digest.update(np.float64(rv.atom).tobytes())
+            capped.append(engine.stats["conv_capped"])
+        assert all(capped[-2:])
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestDefaultPathBitIdentity:
     """Engine sharing + value interning must not perturb the exact path."""
 
@@ -279,26 +324,14 @@ class TestDefaultPathBitIdentity:
 
 
 class TestThreading:
-    def test_evaluate_schedule_rejects_non_grid_methods(self, small_workload, model):
-        s = heft(small_workload)
-        for method in ("spelde", "montecarlo"):
-            with pytest.raises(ValueError, match="fast_conv"):
-                evaluate_schedule(s, model, method=method, fast_conv=True)
-
     def test_evaluate_schedule_rejects_policy_mismatch(self, small_workload, model):
         s = heft(small_workload)
         exact_engine = BatchedGridEngine(model)
         with pytest.raises(ValueError, match="precision policy"):
-            evaluate_schedule(s, model, engine=exact_engine, fast_conv=True)
+            evaluate_schedule(s, model.with_fast_conv(), engine=exact_engine)
         fast_engine = BatchedGridEngine(model.with_fast_conv())
         with pytest.raises(ValueError, match="precision policy"):
             evaluate_schedule(s, model, engine=fast_engine)
-
-    def test_evaluate_schedule_fast_matches_fast_model(self, small_workload, model):
-        s = heft(small_workload)
-        via_flag = evaluate_schedule(s, model, fast_conv=True)
-        via_model = evaluate_schedule(s, model.with_fast_conv())
-        assert via_flag == via_model
 
 
 class TestCampaignKeys:

@@ -332,7 +332,7 @@ class TestDodinEquivalence:
         model = StochasticModel(ul=1.1, grid_n=65)
         g_new = _activity_network(s, model)
         g_ref = _activity_network(s, model)
-        _reduce(g_new)
+        _reduce(g_new, BatchedGridEngine(model))
         dodin_reduce_reference(g_ref)
         assert set(g_new.nodes) == set(g_ref.nodes)
         edges_new = sorted(

@@ -1,15 +1,18 @@
 """Golden identity: recomputed artifacts match the committed manifest bytes.
 
 ``perfbench/golden.json`` pins the sha256 of every artifact the benchmark
-workloads produce at the suite seed.  This test recomputes the twelve
+workloads produce at the suite seed.  These tests recompute the twelve
 fixed-structure quick cases (Cholesky and Gaussian elimination, the serve
-warm set), stores each through :class:`ArtifactCache` and compares the
-file's sha256 with the manifest — so an exact-mode change that moves a
-single byte fails tier-1, not only the benchmark.  The test only reads the
+warm set) and the four fast-policy ``dense-approx`` cases, store each
+through :class:`ArtifactCache` and compare the file's sha256 with the
+manifest — so a change that moves a single byte of either precision
+policy fails tier-1, not only the benchmark.  The tests only read the
 manifest; regenerating it is ``python3 perfbench/golden.py``.
 
-Those cases send thousands of long convolution rows through the engine's
-in-place refit, so the test also guards that path's bytes.
+The fixed-structure cases send thousands of long convolution rows through
+the engine's in-place refit, so they also guard that path's bytes.  The
+``dense-approx`` cases are the fast policy's byte oracle: the batched
+engine is its only implementation, so nothing else reproduces them.
 """
 
 from __future__ import annotations
@@ -18,35 +21,34 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
-import scipy
 
-from perfbench.workloads import serve_warm_expr
+from perfbench.workloads import SUITE_SEED, dense_approx_expr, serve_warm_expr
 from repro.campaign.cache import ArtifactCache
 from repro.caseset import parse
 from repro.stochastic.batch import BatchedGridEngine
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden.json"
 
-#: The library versions the manifest's bytes were computed with (its
-#: perfbench provenance).  Other releases may round differently — Beta
-#: density kernels, interpolation, convolution — so the test skips up
-#: front rather than report their drift as a regression.
-PINNED = ("2.4.6", "1.17.1")
-INSTALLED = (np.__version__, scipy.__version__)
+#: The manifest's bytes were computed with the numpy / scipy releases of
+#: the shared ``pinned_libs`` fixture (its perfbench provenance).
+pytestmark = pytest.mark.usefixtures("pinned_libs")
 
-pytestmark = pytest.mark.skipif(
-    INSTALLED != PINNED,
-    reason=(
-        "golden bytes are pinned for numpy {} / scipy {}; installed are "
-        "numpy {} / scipy {}".format(*PINNED, *INSTALLED)
-    ),
-)
+
+def mismatched_artifacts(cases, tmp_path) -> list[str]:
+    """Names of the ``cases`` whose stored artifact's sha256 is not golden."""
+    golden = json.loads(GOLDEN.read_text())["artifacts"]
+    cache = ArtifactCache(tmp_path)
+    mismatched = []
+    for case in cases:
+        path = cache.store(case, case.run())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if digest != golden[case.artifact_name]:
+            mismatched.append(case.artifact_name)
+    return mismatched
 
 
 def test_fixed_structure_quick_cases_match_golden_sha256(tmp_path, monkeypatch):
-    golden = json.loads(GOLDEN.read_text())["artifacts"]
     cases = list(parse(serve_warm_expr()).cases())
     assert len(cases) == 12
 
@@ -60,12 +62,12 @@ def test_fixed_structure_quick_cases_match_golden_sha256(tmp_path, monkeypatch):
 
     monkeypatch.setattr(BatchedGridEngine, "_refit_long", counting)
 
-    cache = ArtifactCache(tmp_path)
-    mismatched = []
-    for case in cases:
-        path = cache.store(case, case.run())
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        if digest != golden[case.artifact_name]:
-            mismatched.append(case.artifact_name)
-    assert mismatched == []
+    assert mismatched_artifacts(cases, tmp_path) == []
     assert long_rows > 1000
+
+
+def test_fast_policy_dense_cases_match_golden_sha256(tmp_path):
+    cases = list(parse(dense_approx_expr(SUITE_SEED)).cases())
+    assert len(cases) == 4
+    assert all(case.fast_conv for case in cases)
+    assert mismatched_artifacts(cases, tmp_path) == []

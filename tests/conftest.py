@@ -15,6 +15,14 @@ from repro.dag import TaskGraph
 from repro.stochastic import StochasticModel
 
 
+#: The numpy / scipy releases the committed byte digests were computed with
+#: (``perfbench/golden.json``, the fast Dodin digest).  Other releases may
+#: round differently — Beta density kernels, interpolation, convolution —
+#: so the tests that compare those digests skip up front rather than
+#: report that drift as a regression.
+PINNED_LIBS = ("2.4.6", "1.17.1")
+
+
 def pytest_configure(config: pytest.Config) -> None:
     """Register the ``fleet`` marker: ``pytest -m "not fleet"`` is the core pass."""
     config.addinivalue_line(
@@ -22,6 +30,19 @@ def pytest_configure(config: pytest.Config) -> None:
         "fleet: starts OS processes (process pools, queue-worker fleets, "
         "CLI subprocesses)",
     )
+
+
+@pytest.fixture
+def pinned_libs() -> None:
+    """Skip unless numpy / scipy are the releases in :data:`PINNED_LIBS`."""
+    import scipy
+
+    installed = (np.__version__, scipy.__version__)
+    if installed != PINNED_LIBS:
+        pytest.skip(
+            "byte digests are pinned for numpy {} / scipy {}; installed are "
+            "numpy {} / scipy {}".format(*PINNED_LIBS, *installed)
+        )
 
 
 @pytest.fixture

@@ -123,15 +123,7 @@ class TestSharedEngineAndFastConv:
 
     def test_fast_conv_smoke(self, small_workload, model):
         res = evaluate_case(
-            small_workload, model, n_random=5, rng=22, fast_conv=True
+            small_workload, model.with_fast_conv(), n_random=5, rng=22
         )
         assert res.panel.n_schedules == 8
         assert np.isfinite(res.panel.values).all()
-
-    def test_fast_conv_rejected_for_non_grid_methods(self, small_workload, model):
-        for method in ("spelde", "montecarlo"):
-            with pytest.raises(ValueError, match="fast_conv"):
-                evaluate_case(
-                    small_workload, model, n_random=5, rng=23,
-                    method=method, fast_conv=True,
-                )
