@@ -2,7 +2,7 @@
 
 One row for ``BENCH_core.json``: ``reprolint_full_tree`` — wall time of
 a complete ``lint_paths(["src"])`` pass (parse every module, run every
-rule, fingerprint the findings).  The linter gates CI, so it must stay
+rule, filter the pragmas).  The linter gates CI, so it must stay
 cheap: the row asserts the full tree lints in **< 5 s**, keeping the
 ``static-analysis`` job's cost negligible next to the test jobs it
 fronts.

@@ -391,7 +391,7 @@ class ArtifactCache:
         }
         # Plain ``json.dumps`` is the frozen v1 envelope byte format —
         # converting it to ``canonical_json`` would change every artifact
-        # hash on disk, so the linter finding is baselined, not fixed.
-        path = write_atomic(self.path_for(case), json.dumps(envelope))
+        # hash on disk, so the linter finding is suppressed, not fixed.
+        path = write_atomic(self.path_for(case), json.dumps(envelope))  # reprolint: ignore[RL002]
         self.stats.stores += 1
         return path

@@ -16,10 +16,13 @@ exclusive create, so a Redis/SQS implementation can adopt the same state
 machine later)::
 
     queue/
-      tasks/     shard-000-of-003.json   one ShardManifest per shard
+      tasks/     shard-000-of-003.json   one ShardManifest per task: the
+                 case-<key prefix>.json  shards of a suite, and one-case
+                                         tasks (the service's misses)
       claims/    shard-000-of-003.claim  exclusive lease (O_EXCL create);
                                          the file's mtime is the heartbeat
-      partials/  partial-000-of-003.json the shard's ShardPartial (= done)
+      partials/  partial-000-of-003.json a shard's ShardPartial (= done);
+                                         shard tasks only
       attempts/  shard-000-of-003.attempt-01   tombstones of failed leases
       poisoned/  shard-000-of-003.json   report after max_attempts failures
       faults/    one-shot fault-injection markers (test harness only)
@@ -27,23 +30,35 @@ machine later)::
 
 Task state machine (at-least-once dispatch)::
 
-            enqueue            claim (O_EXCL)          partial written
-    (none) ────────▶ OPEN ──────────────────▶ CLAIMED ───────────────▶ DONE
-                      ▲                          │
-                      │   reaper: heartbeat stale│(mtime older than the
-                      │   or worker reported fail│ lease) → claim moved to
-                      └──────────────────────────┤ an attempt tombstone
-                            attempt < max        │
-                                                 ▼ attempt ≥ max
-                                             POISONED (report file)
+            enqueue            claim (O_EXCL)     shard task: partial written
+    (none) ────────▶ OPEN ──────────────────▶ CLAIMED ───────────────────▶ DONE
+      ▲               ▲                          │
+      │               │   reaper: heartbeat stale│(mtime older than the
+      │               │   or worker reported fail│ lease) → claim moved to
+      │               └──────────────────────────┤ an attempt tombstone
+      │                     attempt < max        │
+      │                                          ├──▶ POISONED (report file)
+      │                                          │    attempt ≥ max
+      └──────────────────────────────────────────┘
+         case task done: it retires (task file and tombstones deleted)
+
+A finished case task keeps no record on the queue: the artifact cache is
+its only record, so enqueueing its case again reopens it, and a worker
+loads a still-valid artifact as one cache hit instead of recomputing it.
+A shard task keeps its partial, because ``campaign merge`` and the
+coordinator read it.  One :meth:`WorkQueue.scan` lists each queue
+directory once and classifies every task; every reader of queue state
+(the status reports, ``is_complete``, the worker's pick and the reaper)
+reads a scan.
 
 Every transition is a single atomic filesystem operation (``O_EXCL``
 create, ``os.replace``, ``os.unlink``), so any number of workers and
 reapers can race safely: exactly one worker wins a claim, and a requeue
 cannot resurrect a lease it just retired.  Dispatch is *at least once* —
-a stale worker may still finish after its shard was requeued — but every
+a stale worker may still finish after its task was requeued — but every
 side effect is idempotent (artifact stores are atomic with byte-identical
-content, the canonical partial name makes the last write win, and
+content, the canonical partial name makes the last write win, a case
+task retired twice finds nothing left to delete, and
 :func:`~repro.campaign.shard.merge_partials` folds one partial per shard
 in suite order), so the *results* are exactly-once and bit-identical to a
 serial run.
@@ -98,7 +113,9 @@ __all__ = [
     "QueueBackend",
     "QueueConfig",
     "QueueEvent",
+    "QueueScan",
     "QueueStatus",
+    "TaskState",
     "WorkQueue",
     "WorkerFleet",
     "WorkerReport",
@@ -115,6 +132,8 @@ FAULT_ENV = "REPRO_QUEUE_FAULT"
 START_BARRIER_ENV = "REPRO_QUEUE_START_BARRIER"
 
 _TASK_STEM = re.compile(r"^shard-(\d+)-of-(\d+)$")
+#: A shard partial's file stem; group 1 is its task id's ``N-of-M`` part.
+_PARTIAL_STEM = re.compile(r"^partial-(\d+-of-\d+)$")
 #: Single-case task ids (the service miss path): ``case-<key prefix>``.
 _CASE_STEM = re.compile(r"^case-([0-9a-f]{12,64})$")
 _BACKOFF_CAP = 60.0
@@ -189,6 +208,50 @@ class QueueStatus:
         )
 
 
+@dataclass(frozen=True)
+class TaskState:
+    """One task as one :meth:`WorkQueue.scan` saw it."""
+
+    state: str  # "done" | "poisoned" | "claimed" | "open"
+    attempts: int
+    #: Open, and its requeue backoff has run out: a worker may claim it.
+    ready: bool
+
+
+@dataclass(frozen=True)
+class QueueScan:
+    """Every task's state from one pass over the queue directory.
+
+    ``tasks`` maps each enqueued task id, in sorted order, to its
+    :class:`TaskState`.  ``claims`` and ``poisoned`` name every claim
+    and poison report the pass found, including those whose task file
+    is gone (the reaper cleans such an orphan claim).  A scan is a hint:
+    a claim is still won only by its ``O_EXCL`` create.
+    """
+
+    tasks: dict[str, TaskState]
+    claims: frozenset[str]
+    poisoned: frozenset[str]
+
+    def is_complete(self) -> bool:
+        """Every task reached a terminal state (done or poisoned)."""
+        return all(
+            t.state in ("done", "poisoned") for t in self.tasks.values()
+        )
+
+    def status(self) -> QueueStatus:
+        """Count the tasks in each state."""
+        states = Counter(t.state for t in self.tasks.values())
+        return QueueStatus(
+            total=len(self.tasks),
+            done=states["done"],
+            claimed=states["claimed"],
+            open=states["open"],
+            poisoned=states["poisoned"],
+            failed_attempts=sum(t.attempts for t in self.tasks.values()),
+        )
+
+
 @dataclass
 class WorkerReport:
     """What one :func:`queue_worker` loop actually did."""
@@ -236,6 +299,24 @@ class PoisonedShardError(RuntimeError):
 # ---------------------------------------------------------------------- #
 # the filesystem work queue
 # ---------------------------------------------------------------------- #
+
+
+def _listed(directory: pathlib.Path, suffix: str) -> set[str]:
+    """Stems of the files in ``directory`` named ``*<suffix>``: one listing.
+
+    ``DirEntry.is_file`` answers from the listing itself for a regular
+    file and follows a symlink, so a dangling entry is left out (as
+    ``Path.exists`` would leave it out) without a ``stat`` per entry.
+    """
+    try:
+        with os.scandir(directory) as entries:
+            return {
+                entry.name[: -len(suffix)]
+                for entry in entries
+                if entry.name.endswith(suffix) and entry.is_file()
+            }
+    except OSError:
+        return set()
 
 
 @dataclass
@@ -317,16 +398,13 @@ class WorkQueue:
         return self.claims_dir / f"{task_id}.claim"
 
     def partial_path(self, task_id: str) -> pathlib.Path:
-        """Canonical partial file of ``task_id`` (exists once done)."""
+        """Canonical partial file of shard task ``task_id`` (once done)."""
         m = _TASK_STEM.match(task_id)
-        if m is not None:
-            return (
-                self.partials_dir
-                / f"partial-{m.group(1)}-of-{m.group(2)}.json"
-            )
-        if _CASE_STEM.match(task_id):
-            return self.partials_dir / f"partial-{task_id}.json"
-        raise ValueError(f"not a queue task id: {task_id!r}")
+        if m is None:
+            raise ValueError(f"not a shard task id: {task_id!r}")
+        return (
+            self.partials_dir / f"partial-{m.group(1)}-of-{m.group(2)}.json"
+        )
 
     def poison_path(self, task_id: str) -> pathlib.Path:
         """Poison-report file of ``task_id``."""
@@ -382,17 +460,18 @@ class WorkQueue:
         Returns the task id ``case-<key prefix>``.  The task is a
         one-shard :class:`ShardManifest` holding exactly ``case``, so the
         regular pull workers execute it through the normal claim /
-        heartbeat / complete lifecycle with no special-casing.  Idempotent:
-        re-enqueueing an open task rewrites its manifest byte-identically,
-        and a task whose partial already landed is left alone.  Case tasks
-        coexist with shard tasks on the same queue (each carries its own
-        single-case suite key, so they never collide with a suite's
-        ``shard-N-of-M`` namespace).
+        heartbeat lifecycle; only its completion differs (it retires, see
+        :meth:`complete`).  Always writes the task: re-enqueueing an
+        open, claimed or poisoned task rewrites its manifest
+        byte-identically (a poisoned task stays poisoned), and a retired
+        one reopens — if its artifact is still valid, the worker's
+        :func:`~repro.campaign.shard.run_shard` loads it as one cache hit
+        instead of recomputing it.  Case tasks coexist with shard tasks on
+        the same queue (each carries its own single-case suite key, so
+        they never collide with a suite's ``shard-N-of-M`` namespace).
         """
         self.init()
         task_id = f"case-{case.key[:12]}"
-        if self.has_partial(task_id):
-            return task_id
         manifest = ShardManifest(
             shard_index=0,
             n_shards=1,
@@ -408,89 +487,127 @@ class WorkQueue:
     def task_ids(self) -> list[str]:
         """Sorted ids of every enqueued task (shard and single-case)."""
         try:
-            return sorted(
-                p.stem
-                for p in self.tasks_dir.iterdir()
-                if p.suffix == ".json"
-                and (_TASK_STEM.match(p.stem) or _CASE_STEM.match(p.stem))
-            )
+            names = os.listdir(self.tasks_dir)
         except OSError:
             return []
+        stems = [n[: -len(".json")] for n in names if n.endswith(".json")]
+        return sorted(
+            s for s in stems if _TASK_STEM.match(s) or _CASE_STEM.match(s)
+        )
 
     def manifest(self, task_id: str) -> ShardManifest:
         """Load the manifest of ``task_id``."""
         return ShardManifest.read(self.task_path(task_id))
 
     def has_partial(self, task_id: str) -> bool:
-        """Whether the shard's partial has landed (the DONE state)."""
-        return self.partial_path(task_id).exists()
+        """Whether a shard task's partial has landed (the DONE state).
+
+        Always ``False`` for a case task: it keeps no partial.
+        """
+        return (
+            _TASK_STEM.match(task_id) is not None
+            and self.partial_path(task_id).exists()
+        )
 
     def is_poisoned(self, task_id: str) -> bool:
-        """Whether the shard exhausted its retry budget."""
+        """Whether the task exhausted its retry budget."""
         return self.poison_path(task_id).exists()
 
-    def attempts(self, task_id: str) -> int:
-        """Number of failed (retired) attempts recorded for ``task_id``."""
+    def _tombstones(self, task_id: str) -> list[str]:
+        """Sorted names of ``task_id``'s failed-attempt tombstones."""
+        prefix = f"{task_id}.attempt-"
         try:
-            return sum(
-                1
-                for p in self.attempts_dir.iterdir()
-                if p.name.startswith(f"{task_id}.attempt-")
-            )
+            names = os.listdir(self.attempts_dir)
         except OSError:
-            return 0
+            return []
+        return sorted(name for name in names if name.startswith(prefix))
 
-    def ready_at(self, task_id: str) -> float:
-        """Earliest epoch time the task may be claimed (requeue backoff).
+    def scan(self, now: float | None = None) -> QueueScan:
+        """Classify every task from one listing of each queue directory.
 
-        The delay is ``backoff * 2**(n-1)`` (capped at 60 s) plus a
-        deterministic jitter of up to 25 % derived from the task id and
-        attempt count — N workers eyeing the same retired claim spread
-        out instead of thundering-herding the queue directory, yet every
-        process computes the identical ready time (the fault harness
-        stays reproducible).  A tombstone that vanishes between the
-        directory scan and its ``stat`` was retired by a concurrent
-        cleanup — it is simply skipped.
+        ``claims/``, ``tasks/``, ``partials/``, ``poisoned/`` and
+        ``attempts/`` are listed once each and compared by name: a task
+        is done (its shard partial landed) > poisoned > claimed > open,
+        and its attempts count its tombstones (``<task id>.attempt-NN``;
+        no task id contains ``.attempt-``).  No path is built and no
+        ``stat`` made per task, except for the tombstones of open tasks,
+        whose mtimes set the requeue backoff.  A dangling partial, claim
+        or poison report does not count (``is_file`` follows the link,
+        as ``exists`` does); a dangling tombstone counts as an attempt
+        but sets no ready time.  Claims are listed before tasks, so a
+        claim whose task is not listed outlived its task.
+        """
+        # Wall clock on purpose: compared against file mtimes (backoff
+        # deadlines), which are wall-clock stamps; never enters results.
+        now = time.time() if now is None else now  # reprolint: ignore[RL003]
+        claims = _listed(self.claims_dir, ".claim")
+        task_ids = self.task_ids()
+        done: set[str] = set()
+        for stem in _listed(self.partials_dir, ".json"):
+            m = _PARTIAL_STEM.match(stem)
+            if m is not None:
+                done.add(f"shard-{m.group(1)}")
+        poisoned = _listed(self.poisoned_dir, ".json")
+        tombstones: dict[str, list[os.DirEntry[str]]] = {}
+        try:
+            with os.scandir(self.attempts_dir) as entries:
+                for entry in entries:
+                    task_id, sep, _ = entry.name.rpartition(".attempt-")
+                    if sep:
+                        tombstones.setdefault(task_id, []).append(entry)
+        except OSError:
+            pass
+        tasks: dict[str, TaskState] = {}
+        for task_id in task_ids:
+            tombs = tombstones.get(task_id, [])
+            if task_id in done:
+                state = "done"
+            elif task_id in poisoned:
+                state = "poisoned"
+            elif task_id in claims:
+                state = "claimed"
+            else:
+                state = "open"
+            ready = state == "open" and self._backoff_over(task_id, tombs, now)
+            tasks[task_id] = TaskState(state, len(tombs), ready)
+        return QueueScan(tasks, frozenset(claims), frozenset(poisoned))
+
+    def _backoff_over(
+        self,
+        task_id: str,
+        tombstones: Sequence[os.DirEntry[str]],
+        now: float,
+    ) -> bool:
+        """Whether the task's requeue backoff has run out at ``now``.
+
+        After ``n`` tombstones the delay is ``backoff * 2**(n-1)`` (capped
+        at 60 s) past the latest one, plus a deterministic jitter of up
+        to 25 % derived from the task id and attempt count — N workers
+        eyeing the same retired claim spread out instead of
+        thundering-herding the queue directory, yet every process
+        computes the identical ready time (the fault harness stays
+        reproducible).  A tombstone that vanishes between the directory
+        scan and its ``stat`` was retired by a concurrent cleanup — it is
+        simply skipped.
         """
         mtimes: list[float] = []
-        n = 0
-        try:
-            entries = list(self.attempts_dir.iterdir())
-        except OSError:
-            return 0.0
-        for p in entries:
-            if not p.name.startswith(f"{task_id}.attempt-"):
-                continue
-            n += 1
+        for entry in tombstones:
             try:
-                mtimes.append(p.stat().st_mtime)
+                mtimes.append(entry.stat().st_mtime)
             except OSError:
                 continue  # vanished mid-scan: retired elsewhere
-        if n == 0 or not mtimes:
-            return 0.0
+        if not mtimes:
+            return True
+        n = len(tombstones)
         delay = min(
             self.config.backoff_seconds * (2.0 ** (n - 1)), _BACKOFF_CAP
         )
         frac = zlib.crc32(f"{task_id}:{n}".encode()) / 0xFFFFFFFF
-        return max(mtimes) + delay * (1.0 + _BACKOFF_JITTER * frac)
-
-    def claimable(self, task_id: str, now: float | None = None) -> bool:
-        """Whether a worker may try to claim ``task_id`` right now."""
-        # Wall clock on purpose: compared against file mtimes (backoff
-        # deadlines), which are wall-clock stamps; never enters results.
-        now = time.time() if now is None else now  # reprolint: ignore[RL003]
-        return (
-            not self.has_partial(task_id)
-            and not self.is_poisoned(task_id)
-            and not self.claim_path(task_id).exists()
-            and now >= self.ready_at(task_id)
-        )
+        return now >= max(mtimes) + delay * (1.0 + _BACKOFF_JITTER * frac)
 
     def is_complete(self) -> bool:
         """Every enqueued task reached a terminal state (done/poisoned)."""
-        return all(
-            self.has_partial(t) or self.is_poisoned(t) for t in self.task_ids()
-        )
+        return self.scan().is_complete()
 
     # -- the claim / heartbeat / complete lifecycle -------------------- #
 
@@ -517,7 +634,7 @@ class WorkQueue:
                         "task": task_id,
                         "worker": worker_id,
                         "pid": os.getpid(),
-                        "attempt": self.attempts(task_id) + 1,
+                        "attempt": len(self._tombstones(task_id)) + 1,
                         # Diagnostic stamp, never enters results.
                         "claimed_at": time.time(),  # reprolint: ignore[RL003]
                     }
@@ -541,21 +658,29 @@ class WorkQueue:
         except FileNotFoundError:
             return False
 
-    def complete(self, task_id: str, partial: ShardPartial) -> pathlib.Path:
-        """Mark the task done: write its partial, release the claim.
+    def complete(self, task_id: str, partial: ShardPartial) -> None:
+        """Mark the task done, then release the claim.
 
-        The partial write is atomic under the task's canonical partial
+        A shard task writes its partial, atomically under its canonical
         name (``partial_path``), so a duplicated completion (stale worker
         + requeued worker) resolves to last-write-wins with an equivalent
-        aggregate contribution.  Writing at ``partial_path`` — rather than
-        the partial's own suite-relative name — keeps single-case tasks
-        from colliding in the shared ``partials/`` namespace.
+        aggregate contribution.  A case task retires instead: the
+        artifact cache is its only record, so its tombstones and task
+        file are deleted.  The claim goes last, so no other worker can
+        claim a task while it is being deleted; a worker that dies
+        before releasing leaves a claim without a task, which the reaper
+        cleans.  A duplicated completion finds nothing left to delete.
         """
-        path = write_atomic(
-            self.partial_path(task_id), canonical_json(partial.to_payload())
-        )
+        if _CASE_STEM.match(task_id):
+            for name in self._tombstones(task_id):
+                (self.attempts_dir / name).unlink(missing_ok=True)
+            self.task_path(task_id).unlink(missing_ok=True)
+        else:
+            write_atomic(
+                self.partial_path(task_id),
+                canonical_json(partial.to_payload()),
+            )
         self.release(task_id)
-        return path
 
     def release(self, task_id: str) -> None:
         """Drop the claim without recording an attempt (after ``complete``)."""
@@ -573,29 +698,28 @@ class WorkQueue:
     def requeue_stale(self, now: float | None = None) -> list[QueueEvent]:
         """One reaper pass: retire dead leases, clean finished ones.
 
-        A claim whose partial already landed is deleted (``cleaned``);
-        a claim whose heartbeat went stale is moved to an attempt
-        tombstone (``requeued``), or poisoned once the shard is out of
-        attempts.  Safe to run from any number of processes concurrently.
+        A claim whose shard's partial already landed, or whose task is
+        gone (a case task retired under it), is deleted (``cleaned``) —
+        never turned into a tombstone or a poison report, which would
+        make later misses of that case fail.  A claim whose heartbeat
+        went stale is moved to an attempt tombstone (``requeued``), or
+        poisoned once the task is out of attempts.  Safe to run from any
+        number of processes concurrently.
         """
         # Wall clock on purpose: lease staleness is age vs claim-file
         # mtime (a wall-clock stamp); never enters results.
         now = time.time() if now is None else now  # reprolint: ignore[RL003]
+        scan = self.scan(now)
         events: list[QueueEvent] = []
-        try:
-            claims = sorted(self.claims_dir.glob("*.claim"))
-        except OSError:
-            return events
-        for claim in claims:
-            task_id = claim.name[: -len(".claim")]
-            if self.has_partial(task_id):
+        for task_id in sorted(scan.claims):
+            task = scan.tasks.get(task_id)
+            if task is None or task.state == "done":
                 self.release(task_id)
-                events.append(
-                    QueueEvent(task_id, "cleaned", self.attempts(task_id))
-                )
+                attempts = 0 if task is None else task.attempts
+                events.append(QueueEvent(task_id, "cleaned", attempts))
                 continue
             try:
-                age = now - claim.stat().st_mtime
+                age = now - self.claim_path(task_id).stat().st_mtime
             except FileNotFoundError:
                 continue  # completed or retired by a concurrent actor
             if age <= self.config.lease_seconds:
@@ -618,7 +742,8 @@ class WorkQueue:
         never be resurrected by a late heartbeat (``os.utime`` on the old
         path fails, telling the stale worker it lost the task).
         """
-        attempt = self.attempts(task_id) + 1
+        tombstones = self._tombstones(task_id)
+        attempt = len(tombstones) + 1
         tomb = self.attempts_dir / f"{task_id}.attempt-{attempt:02d}"
         try:
             os.replace(self.claim_path(task_id), tomb)
@@ -630,11 +755,7 @@ class WorkQueue:
                 "task": task_id,
                 "attempts": attempt,
                 "reason": reason,
-                "tombstones": sorted(
-                    p.name
-                    for p in self.attempts_dir.iterdir()
-                    if p.name.startswith(f"{task_id}.attempt-")
-                ),
+                "tombstones": sorted([*tombstones, tomb.name]),
             }
             write_atomic(self.poison_path(task_id), canonical_json(report))
             return QueueEvent(task_id, "poisoned", attempt, reason)
@@ -643,19 +764,20 @@ class WorkQueue:
     # -- reporting ----------------------------------------------------- #
 
     def poisoned(self) -> dict[str, dict]:
-        """Task id → poison report for every poisoned shard."""
+        """Task id → poison report for every poisoned task."""
+        return self._reports(_listed(self.poisoned_dir, ".json"))
+
+    def _reports(self, task_ids: Iterable[str]) -> dict[str, dict]:
+        """Task id → poison report of ``task_ids``, in sorted order."""
         import json
 
         reports: dict[str, dict] = {}
-        try:
-            paths = sorted(self.poisoned_dir.glob("*.json"))
-        except OSError:
-            return reports
-        for path in paths:
+        for task_id in sorted(task_ids):
             try:
-                reports[path.stem] = json.loads(path.read_text())
+                text = self.poison_path(task_id).read_text()
+                reports[task_id] = json.loads(text)
             except (OSError, ValueError):
-                reports[path.stem] = {"task": path.stem, "reason": "unreadable"}
+                reports[task_id] = {"task": task_id, "reason": "unreadable"}
         return reports
 
     def partials(self) -> list[ShardPartial]:
@@ -677,62 +799,28 @@ class WorkQueue:
                 continue
         return out
 
-    def _classify(self) -> tuple[QueueStatus, dict[str, dict]]:
-        """Each task's ``{state, attempts}`` and the counts over them.
-
-        Every task is in exactly one state, by precedence done > poisoned
-        > claimed > open, so the counts always sum to the total.  Failed
-        attempts come from one listing of ``attempts/``: a tombstone is
-        ``<task id>.attempt-NN`` and no task id contains ``.attempt-``.
-        """
-        try:
-            names = [p.name for p in self.attempts_dir.iterdir()]
-        except OSError:
-            names = []
-        failed = Counter(
-            name.rsplit(".attempt-", 1)[0]
-            for name in names
-            if ".attempt-" in name
-        )
-        tasks: dict[str, dict] = {}
-        for task_id in self.task_ids():
-            if self.has_partial(task_id):
-                state = "done"
-            elif self.is_poisoned(task_id):
-                state = "poisoned"
-            elif self.claim_path(task_id).exists():
-                state = "claimed"
-            else:
-                state = "open"
-            tasks[task_id] = {"state": state, "attempts": failed[task_id]}
-        states = [t["state"] for t in tasks.values()]
-        status = QueueStatus(
-            total=len(tasks),
-            done=states.count("done"),
-            claimed=states.count("claimed"),
-            open=states.count("open"),
-            poisoned=states.count("poisoned"),
-            failed_attempts=sum(t["attempts"] for t in tasks.values()),
-        )
-        return status, tasks
-
     def status(self) -> QueueStatus:
         """Count the tasks in each state."""
-        return self._classify()[0]
+        return self.scan().status()
 
     def status_payload(self) -> dict:
         """Machine-readable queue state (``campaign queue-status --json``).
 
         One consistent-enough snapshot for CI jobs and ops scripts: the
         :meth:`status` counts plus a per-task ``{state, attempts}`` map
-        and the full poison reports.
+        and the full poison reports, all from one :meth:`scan`.  A
+        retired case task is not listed: only the artifact cache
+        remembers it.
         """
-        status, tasks = self._classify()
+        scan = self.scan()
         return {
             "format": "repro-queue-status-v1",
-            **asdict(status),
-            "tasks": tasks,
-            "poisoned_tasks": self.poisoned(),
+            **asdict(scan.status()),
+            "tasks": {
+                task_id: {"state": t.state, "attempts": t.attempts}
+                for task_id, t in scan.tasks.items()
+            },
+            "poisoned_tasks": self._reports(scan.poisoned),
         }
 
 
@@ -991,11 +1079,12 @@ def queue_worker(
     """Pull-execute shards from ``queue`` until it completes (the worker).
 
     The elastic counterpart of :func:`~repro.campaign.shard.run_shard`'s
-    fixed dispatch: scan for claimable tasks (scan order is rotated by a
-    hash of the worker id so a fleet doesn't stampede one shard), claim
-    one atomically, execute it case by case — heartbeating the lease and
-    persisting every artifact as it lands — then write the partial and
-    release the claim.  A worker that loses its lease mid-shard (the
+    fixed dispatch: :meth:`WorkQueue.scan` for ready tasks (scan order is
+    rotated by a hash of the worker id so a fleet doesn't stampede one
+    shard), claim one atomically, execute it case by case — heartbeating
+    the lease and persisting every artifact as it lands — then
+    :meth:`~WorkQueue.complete` it (a shard lands its partial, a case task
+    retires), and scan again.  A worker that loses its lease mid-shard (the
     reaper requeued it) abandons the task; everything it computed is
     already in the artifact cache, so the next attempt resumes warm.
 
@@ -1025,13 +1114,12 @@ def queue_worker(
         if stop is not None and stop.is_set():
             return report
         progressed = False
-        ids = queue.task_ids()
+        scan = queue.scan()
+        ids = [task_id for task_id, t in scan.tasks.items() if t.ready]
         if ids:
             offset = zlib.crc32(worker_id.encode()) % len(ids)
             ids = ids[offset:] + ids[:offset]
         for task_id in ids:
-            if not queue.claimable(task_id):
-                continue
             if not queue.claim(task_id, worker_id):
                 continue
             report.claimed += 1
@@ -1048,7 +1136,9 @@ def queue_worker(
             return report
         if reap:
             queue.requeue_stale()
-        if not forever and queue.is_complete():
+        # This pass's scan decides: reaping only moves claimed tasks (to
+        # open, or to poisoned, which the next pass sees).
+        if not forever and scan.is_complete():
             return report
         if not wait:
             return report
@@ -1068,7 +1158,7 @@ def _run_claimed_task(
     report: WorkerReport,
     stop: threading.Event | None = None,
 ) -> None:
-    """Execute one claimed shard and land its partial.
+    """Execute one claimed task and complete it.
 
     With ``stop`` set mid-shard the worker aborts after the current case
     and *releases* the claim (no attempt tombstone — a graceful drain is
@@ -1077,6 +1167,12 @@ def _run_claimed_task(
     """
     try:
         manifest = queue.manifest(task_id)
+    except FileNotFoundError:
+        # The case task retired before the claim or under it (a
+        # duplicated completion): nothing is left to run, nothing failed.
+        queue.release(task_id)
+        report.lost_lease += 1
+        return
     except (OSError, ValueError, KeyError, TypeError) as exc:
         queue.fail(task_id, f"unreadable manifest: {exc}")
         report.failed += 1

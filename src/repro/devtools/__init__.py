@@ -6,13 +6,13 @@ derived RNG seeds, TOCTOU-tolerant directory scans, frozen
 ``_reference`` oracles, abort-signal hygiene in worker loops.  This
 package checks them mechanically: ``python -m repro.devtools.lint``
 parses the tree with :mod:`ast` and runs the rule registry
-(``RL001``–``RL006``, see :mod:`repro.devtools.rules`), comparing
-findings against a checked-in baseline so new violations fail CI while
-accepted ones don't.  ``docs/invariants.md`` catalogues the contracts;
-``reprolint --explain RLxxx`` renders each rule's page.
+(``RL001``–``RL006``, see :mod:`repro.devtools.rules`); any finding
+fails CI, and an accepted violation carries an inline
+``# reprolint: ignore[RLxxx]`` pragma with its reason.
+``docs/invariants.md`` catalogues the contracts; ``reprolint --explain
+RLxxx`` renders each rule's page.
 """
 
-from repro.devtools.baseline import Baseline, fingerprint_findings
 from repro.devtools.rules import Finding, all_rules, rule_by_id
 
 # NOTE: repro.devtools.lint is deliberately not imported here — importing
@@ -20,9 +20,7 @@ from repro.devtools.rules import Finding, all_rules, rule_by_id
 # repro.devtools.lint`` with a runpy double-import warning.
 
 __all__ = [
-    "Baseline",
     "Finding",
     "all_rules",
-    "fingerprint_findings",
     "rule_by_id",
 ]

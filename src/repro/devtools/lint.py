@@ -3,19 +3,18 @@
 Usage::
 
     python -m repro.devtools.lint [paths...]
-        [--format=text|json] [--baseline FILE] [--update-baseline]
-        [--explain RLxxx] [--list-rules]
+        [--format=text|json] [--explain RLxxx] [--list-rules]
 
 The engine parses every ``.py`` file under the given paths (default:
 ``src``) with :mod:`ast`, runs the module rules from
 :mod:`repro.devtools.rules` on each, then the project rules (oracle
-coverage) once per repository root, filters per-line
-``# reprolint: ignore[RLxxx]`` pragmas, and fingerprints the survivors
-for baseline matching (:mod:`repro.devtools.baseline`).
+coverage) once per repository root, and filters per-line
+``# reprolint: ignore[RLxxx]`` pragmas.  An accepted violation carries
+its pragma, with the reason in a comment beside it.
 
-Exit status: ``0`` when every finding is baseline-accepted, ``1`` when
-any *new* finding exists, ``2`` on usage errors.  The JSON report
-(``--format=json``, schema ``reprolint-report-v1``) is emitted through
+Exit status: ``0`` when there is no finding, ``1`` when any finding
+exists, ``2`` on usage errors.  The JSON report (``--format=json``,
+schema ``reprolint-report-v2``) is emitted through
 :func:`repro.io.json_io.canonical_json`, so report bytes are stable for
 machine consumers and CI diffing.
 """
@@ -30,7 +29,6 @@ import re
 import sys
 from dataclasses import dataclass
 
-from repro.devtools.baseline import Baseline, BaselineDelta, fingerprint_findings
 from repro.devtools.rules import (
     MODULE_RULES,
     PROJECT_RULES,
@@ -43,13 +41,13 @@ from repro.io.json_io import canonical_json
 
 __all__ = ["LintResult", "lint_paths", "main"]
 
-_REPORT_FORMAT = "reprolint-report-v1"
+_REPORT_FORMAT = "reprolint-report-v2"
 _PRAGMA = re.compile(r"#\s*reprolint:\s*ignore\[([A-Za-z0-9,\s]+)\]")
 
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced (pre-baseline)."""
+    """Everything one lint run produced."""
 
     findings: "list[Finding]"
     files: int
@@ -120,7 +118,7 @@ def lint_paths(
     paths: "list[pathlib.Path | str]",
     project_root: "pathlib.Path | None" = None,
 ) -> LintResult:
-    """Run every applicable rule over ``paths``; returns fingerprinted findings.
+    """Run every applicable rule over ``paths``; returns the findings.
 
     ``project_root`` overrides repo-root discovery for the project rules
     (fixture suites lint miniature ``src/repro`` trees under tmp dirs);
@@ -129,7 +127,6 @@ def lint_paths(
     """
     files = _collect([pathlib.Path(p) for p in paths])
     findings: list[Finding] = []
-    sources: dict[str, list[str]] = {}
     suppressed = 0
     roots: dict[pathlib.Path, None] = {}
     for path in files:
@@ -159,7 +156,6 @@ def lint_paths(
             tree=tree,
             lines=source.splitlines(),
         )
-        sources[ctx.display] = ctx.lines
         module_findings: list[Finding] = []
         for rule_cls in MODULE_RULES:
             if rule_cls.applies(ctx):
@@ -174,52 +170,32 @@ def lint_paths(
             findings.extend(project_rule.run_project(root))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return LintResult(
-        findings=fingerprint_findings(findings, sources),
-        files=len(files),
-        suppressed=suppressed,
+        findings=findings, files=len(files), suppressed=suppressed
     )
 
 
-def _report_json(
-    result: LintResult, delta: BaselineDelta
-) -> str:
-    """Canonical-JSON report (schema ``reprolint-report-v1``)."""
+def _report_json(result: LintResult) -> str:
+    """Canonical-JSON report (schema ``reprolint-report-v2``)."""
     payload = {
         "format": _REPORT_FORMAT,
         "files": result.files,
         "suppressed": result.suppressed,
         "findings": [f.to_payload() for f in result.findings],
-        "new": sorted(f.fingerprint for f in delta.new),
-        "baselined": sorted(f.fingerprint for f in delta.matched),
-        "expired": list(delta.expired),
-        "summary": {
-            "total": len(result.findings),
-            "new": len(delta.new),
-            "baselined": len(delta.matched),
-            "expired": len(delta.expired),
-        },
     }
     return canonical_json(payload)
 
 
-def _report_text(result: LintResult, delta: BaselineDelta) -> str:
-    """Human-readable report: one line per new finding, then a summary."""
-    out: list[str] = []
-    for finding in delta.new:
-        out.append(
-            f"{finding.path}:{finding.line}:{finding.col}: "
-            f"{finding.rule} {finding.message}"
-        )
-    for entry in delta.expired:
-        out.append(
-            f"baseline entry expired ({entry['rule']} {entry['path']} "
-            f"{entry['fingerprint']}): re-run with --update-baseline"
-        )
+def _report_text(result: LintResult) -> str:
+    """Human-readable report: one line per finding, then a summary."""
+    out = [
+        f"{finding.path}:{finding.line}:{finding.col}: "
+        f"{finding.rule} {finding.message}"
+        for finding in result.findings
+    ]
     out.append(
         f"reprolint: {result.files} file(s), "
-        f"{len(result.findings)} finding(s) "
-        f"({len(delta.new)} new, {len(delta.matched)} baselined, "
-        f"{len(delta.expired)} expired, {result.suppressed} suppressed)"
+        f"{len(result.findings)} finding(s), "
+        f"{result.suppressed} suppressed"
     )
     return "\n".join(out)
 
@@ -267,17 +243,7 @@ def main(argv: "list[str] | None" = None) -> int:
         choices=("text", "json"),
         default="text",
         help="report format (json is canonical_json, schema "
-        "reprolint-report-v1)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-findings file; only findings absent from it fail",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline to accept exactly the current findings",
+        "reprolint-report-v2)",
     )
     parser.add_argument(
         "--explain",
@@ -294,23 +260,12 @@ def main(argv: "list[str] | None" = None) -> int:
         return _explain(args.explain)
     if args.list_rules:
         return _list_rules()
-    if args.update_baseline and not args.baseline:
-        parser.error("--update-baseline requires --baseline FILE")
     result = lint_paths(args.paths)
-    baseline = Baseline.load(args.baseline) if args.baseline else Baseline()
-    if args.update_baseline:
-        Baseline.write(args.baseline, result.findings)
-        print(
-            f"reprolint: baseline {args.baseline} now accepts "
-            f"{len(result.findings)} finding(s)"
-        )
-        return 0
-    delta = baseline.compare(result.findings)
     if args.format == "json":
-        print(_report_json(result, delta))
+        print(_report_json(result))
     else:
-        print(_report_text(result, delta))
-    return 1 if delta.new else 0
+        print(_report_text(result))
+    return 1 if result.findings else 0
 
 
 if __name__ == "__main__":

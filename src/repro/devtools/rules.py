@@ -46,9 +46,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is repository-relative POSIX (or the path as given for
-    files outside the repo); ``fingerprint`` is filled by the engine
-    (line-drift-resilient content hash, see :mod:`repro.devtools.lint`)
-    after pragma filtering.
+    files outside the repo).
     """
 
     path: str
@@ -56,17 +54,15 @@ class Finding:
     col: int
     rule: str
     message: str
-    fingerprint: str = ""
 
     def to_payload(self) -> dict:
-        """JSON-compatible dict (schema ``reprolint-report-v1``)."""
+        """JSON-compatible dict (schema ``reprolint-report-v2``)."""
         return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -235,9 +231,10 @@ class CanonicalJsonRule(Rule):
     call outside ``io/json_io.py`` is a finding — call
     :func:`repro.io.json_io.canonical_json` instead.  Reading
     (``json.load(s)``) is always fine.  Frozen on-disk byte formats that
-    predate the rule (the v1 cache envelope) are carried in the checked-
-    in baseline rather than rewritten, because changing their bytes
-    would invalidate every existing artifact hash.
+    predate the rule (the v1 cache envelope) carry an inline
+    ``# reprolint: ignore[RL002]`` pragma, with the reason beside it,
+    rather than being rewritten, because changing their bytes would
+    invalidate every existing artifact hash.
     """
 
     id = "RL002"

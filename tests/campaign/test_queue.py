@@ -4,7 +4,11 @@ import dataclasses
 import json
 import os
 import pathlib
+import sys
+import threading
 import time
+import zlib
+from collections import Counter
 
 import pytest
 
@@ -21,7 +25,7 @@ from repro.campaign import (
     queue_worker,
     run_shard,
 )
-from repro.campaign.queue import FaultSpec
+from repro.campaign.queue import FaultSpec, TaskState
 from repro.io.json_io import case_result_to_json
 
 from tests.campaign.faultlib import make_injector
@@ -97,7 +101,7 @@ class TestQueueProtocol:
         ]
         assert queue.claim_path(a).exists()
         assert not queue.claim_path(b).exists()
-        assert queue.attempts(b) == 1
+        assert queue.scan().tasks[b].attempts == 1
 
     def test_reaper_cleans_claims_of_finished_shards(self, tmp_path):
         queue, manifests = _enqueued(tmp_path)
@@ -106,10 +110,25 @@ class TestQueueProtocol:
         queue.claim(task, "slow")
         partial = run_shard(manifest, ArtifactCache(tmp_path / "cache"))
         partial.write(queue.partials_dir)
+        # A stale claim whose case task is gone: its worker died between
+        # retiring the task and releasing the claim.
+        orphan = queue.enqueue_case(expand_suite(SPECS, TINY, base_seed=99)[0])
+        queue.claim(orphan, "dead")
+        queue.task_path(orphan).unlink()
+        stale = time.time() - 10.0
+        os.utime(queue.claim_path(orphan), (stale, stale))
         events = queue.requeue_stale()
-        assert [(e.task_id, e.action) for e in events] == [(task, "cleaned")]
+        assert sorted((e.task_id, e.action, e.attempt) for e in events) == [
+            (orphan, "cleaned", 0),
+            (task, "cleaned", 0),
+        ]
         assert not queue.claim_path(task).exists()
-        assert queue.attempts(task) == 0  # cleaning is not a failure
+        assert not queue.claim_path(orphan).exists()
+        assert queue.scan().tasks[task].attempts == 0  # not a failure
+        # ...and never a tombstone or a poison report, which would make
+        # every later miss of the orphan's case a 502
+        assert list(queue.attempts_dir.iterdir()) == []
+        assert queue.poisoned() == {}
 
     def test_poisoned_after_max_attempts(self, tmp_path):
         queue, _ = _enqueued(tmp_path)
@@ -120,37 +139,85 @@ class TestQueueProtocol:
             events.append(queue.fail(task, "injected"))
         assert [e.action for e in events] == ["requeued", "requeued", "poisoned"]
         assert queue.is_poisoned(task)
-        assert not queue.claimable(task)
+        assert not queue.scan().tasks[task].ready
         report = queue.poisoned()[task]
         assert report["attempts"] == FAST.max_attempts
         assert report["reason"] == "injected"
         assert queue.status().poisoned == 1
 
     def test_status_lists_attempts_once(self, tmp_path, monkeypatch):
-        # 301 tasks beside 451 tombstones: one listing of attempts/ per
-        # status, and every task's count equal to attempts().
-        queue = WorkQueue(tmp_path / "q", FAST).init()
-        task_ids = [f"shard-{k:03d}-of-300" for k in range(300)]
-        task_ids.append("case-0123456789ab")
-        for k, task_id in enumerate(task_ids):
+        # 2,000 finished shard tasks beside 20 open tasks (one of them a
+        # case task) holding 25 fresh tombstones each, under a one-hour
+        # base backoff (capped at 60 s): every reader of queue state lists
+        # each queue directory once per scan, whatever the queue holds.
+        queue = WorkQueue(
+            tmp_path / "q", QueueConfig(backoff_seconds=3600.0)
+        ).init()
+        finished = [f"shard-{k:04d}-of-2019" for k in range(2000)]
+        waiting = [f"shard-{k:04d}-of-2019" for k in range(2000, 2019)]
+        waiting.append("case-0123456789ab")
+        for task_id in finished:
             queue.task_path(task_id).write_text("{}")
-            for attempt in range(1, 1 + (k + 1) % 4):
+            queue.partial_path(task_id).write_text("{}")
+        for task_id in waiting:
+            queue.task_path(task_id).write_text("{}")
+            for attempt in range(1, 26):
                 (queue.attempts_dir / f"{task_id}.attempt-{attempt:02d}").touch()
-        listings = 0
-        iterdir = pathlib.Path.iterdir
+        dirs = {
+            d: d.name
+            for d in (
+                queue.tasks_dir,
+                queue.claims_dir,
+                queue.partials_dir,
+                queue.poisoned_dir,
+                queue.attempts_dir,
+            )
+        }
+        listings: Counter[str] = Counter()
+        scans = 0
 
-        def counting(path):
-            nonlocal listings
-            listings += path == queue.attempts_dir
-            return iterdir(path)
+        def counted(lister):
+            def listing(path="."):
+                if pathlib.Path(path) in dirs:
+                    listings[dirs[pathlib.Path(path)]] += 1
+                return lister(path)
 
-        monkeypatch.setattr(pathlib.Path, "iterdir", counting)
-        status = queue.status()
-        payload = queue.status_payload()
-        assert listings == 2
-        want = {task_id: queue.attempts(task_id) for task_id in task_ids}
+            return listing
+
+        scan = WorkQueue.scan
+
+        def counted_scan(self, *args, **kwargs):
+            nonlocal scans
+            scans += 1
+            return scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(os, "listdir", counted(os.listdir))
+        monkeypatch.setattr(os, "scandir", counted(os.scandir))
+        monkeypatch.setattr(WorkQueue, "scan", counted_scan)
+
+        def once_per_scan(call):
+            nonlocal scans
+            listings.clear()
+            scans = 0
+            result = call()
+            assert scans >= 1
+            assert listings == {name: scans for name in dirs.values()}
+            return result
+
+        status = once_per_scan(queue.status)
+        payload = once_per_scan(queue.status_payload)
+        assert not once_per_scan(queue.is_complete)
+        report = once_per_scan(
+            lambda: queue_worker(
+                queue, tmp_path / "cache", "w0", wait=False,
+                env_faults=False,
+            )
+        )
+        assert report.claimed == 0  # every open task is backing off
+        want = dict.fromkeys(finished, 0) | dict.fromkeys(waiting, 25)
         assert {t: v["attempts"] for t, v in payload["tasks"].items()} == want
-        assert status.failed_attempts == sum(want.values()) == 451
+        assert status.failed_attempts == sum(want.values()) == 500
+        assert (status.done, status.open) == (2000, 20)
 
     def test_poisoned_task_with_a_claim_counts_once(self, tmp_path):
         # A claim file beside a poison report (a retire racing its poison
@@ -179,18 +246,49 @@ class TestQueueProtocol:
         ]
         queue.enqueue(manifests)
         task = queue.task_ids()[0]
-        assert queue.claimable(task)
+        assert queue.scan().tasks[task].ready
         queue.claim(task, "a")
         queue.fail(task, "boom")
         now = time.time()
-        ready = queue.ready_at(task)
+        window = [now + 29.0 + 0.5 * k for k in range(20)]  # 29 s .. 38.5 s
+        ready = [queue.scan(now=t).tasks[task].ready for t in window]
         # base delay 30s plus at most 25% deterministic jitter
-        assert now + 29.0 <= ready <= now + 30.0 * 1.25 + 1.0
-        assert not queue.claimable(task, now=now)
-        assert not queue.claimable(task, now=ready - 0.5)
-        assert queue.claimable(task, now=ready + 0.5)
-        # the jitter is a pure function of (task id, attempts): stable
-        assert queue.ready_at(task) == ready
+        assert not queue.scan(now=now).tasks[task].ready
+        assert not ready[0] and ready[-1]
+        assert ready == sorted(ready)  # once ready, it stays ready
+        # the jitter is a pure function of (task id, attempts): two scans
+        # at the same instant agree
+        assert [queue.scan(now=t).tasks[task].ready for t in window] == ready
+
+    def test_pick_order_is_rotated_by_worker_id_over_ready_tasks(
+        self, tmp_path, monkeypatch
+    ):
+        # A fleet spreads over the queue instead of stampeding one task:
+        # each worker tries the ready tasks (a backing-off one is not
+        # among them) from an offset set by a hash of its id.
+        queue = WorkQueue(tmp_path / "q", QueueConfig(backoff_seconds=30.0))
+        queue.enqueue(
+            m for m in partition_cases(_indexed_cases(), 4) if m.cases
+        )
+        backing_off, *ready = queue.task_ids()
+        assert len(ready) == 3
+        queue.claim(backing_off, "crashy")
+        queue.fail(backing_off, "boom")
+        tried: list[str] = []
+        monkeypatch.setattr(
+            queue, "claim", lambda task_id, worker_id: tried.append(task_id)
+        )
+        offsets = set()
+        for worker_id in ("a", "delta", "b"):
+            tried.clear()
+            queue_worker(
+                queue, tmp_path / "cache", worker_id,
+                reap=False, wait=False, env_faults=False,
+            )
+            k = zlib.crc32(worker_id.encode()) % len(ready)
+            assert tried == ready[k:] + ready[:k]
+            offsets.add(k)
+        assert offsets == {0, 1, 2}
 
     def test_fault_spec_parsing(self):
         spec = FaultSpec.parse("kill-worker:2@w1")
@@ -234,21 +332,204 @@ class TestCaseTasks:
         report = queue_worker(queue, cache, "w0", env_faults=False)
         assert (report.claimed, report.completed) == (1, 1)
         assert queue.is_complete()
-        assert queue.has_partial(task_id)
+        assert task_id not in queue.task_ids()  # retired
         loaded = cache.load(case)
         assert loaded is not None
         assert case_result_to_json(loaded) == case_result_to_json(case.run())
 
-    def test_completed_case_task_is_not_reenqueued(self, tmp_path):
+    def test_completed_case_task_retires_and_reopens(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", FAST)
         cache = ArtifactCache(tmp_path / "cache")
         case = _indexed_cases()[0][1]
-        queue.enqueue_case(case)
-        queue_worker(queue, cache, "w0", env_faults=False)
-        assert queue.enqueue_case(case) == f"case-{case.key[:12]}"
-        assert queue.is_complete()  # the landed partial was left alone
+        task_id = queue.enqueue_case(case)
+        assert queue.claim(task_id, "crashy")  # leaves one tombstone
+        queue.fail(task_id, "injected")
+        report = queue_worker(queue, cache, "w0", env_faults=False)
+        assert (report.completed, report.computed) == (1, 1)
+        # The artifact cache is the only record of a finished case task.
+        for directory in (
+            queue.tasks_dir, queue.partials_dir, queue.attempts_dir,
+            queue.claims_dir,
+        ):
+            assert not [p for p in directory.iterdir() if task_id in p.name]
+        # Enqueueing the case again reopens the task, and the next worker
+        # loads the still-valid artifact instead of recomputing it.
+        assert queue.enqueue_case(case) == task_id
+        assert queue.scan().tasks[task_id] == TaskState("open", 0, True)
         report = queue_worker(queue, cache, "w1", env_faults=False)
-        assert report.claimed == 0
+        assert (report.claimed, report.computed, report.cached) == (1, 0, 1)
+        assert queue.task_ids() == []
+
+    def test_claim_won_after_the_task_retired_is_released(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker picks the task from a scan taken before another worker
+        # retired it, so its O_EXCL claim succeeds on a task with no file:
+        # it releases the claim, and records no failed attempt (with one
+        # attempt allowed, a tombstone would poison every later miss).
+        queue = WorkQueue(
+            tmp_path / "q", dataclasses.replace(FAST, max_attempts=1)
+        )
+        task_id = queue.enqueue_case(_indexed_cases()[0][1])
+        stale = iter([queue.scan()])
+        queue.task_path(task_id).unlink()
+        scan = queue.scan
+        monkeypatch.setattr(
+            queue, "scan", lambda now=None: next(stale, None) or scan(now)
+        )
+        report = queue_worker(
+            queue, tmp_path / "cache", "w0", env_faults=False
+        )
+        assert (report.claimed, report.lost_lease, report.failed) == (1, 1, 0)
+        assert not queue.claim_path(task_id).exists()
+        assert list(queue.attempts_dir.iterdir()) == []
+        assert queue.poisoned() == {}
+
+    def test_reenqueued_poisoned_case_task_stays_poisoned(self, tmp_path):
+        # Only a finished case task retires: a poisoned one keeps its task
+        # file and report, so enqueueing its case again neither reopens
+        # it nor loses the report a miss answers with.
+        queue = WorkQueue(
+            tmp_path / "q", dataclasses.replace(FAST, max_attempts=1)
+        )
+        case = _indexed_cases()[0][1]
+        task_id = queue.enqueue_case(case)
+        assert queue.claim(task_id, "crashy")
+        queue.fail(task_id, "injected")
+        report = queue.poisoned()[task_id]
+        assert queue.enqueue_case(case) == task_id
+        assert queue.scan().tasks[task_id] == TaskState("poisoned", 1, False)
+        worker = queue_worker(
+            queue, tmp_path / "cache", "w0", env_faults=False
+        )
+        assert worker.claimed == 0
+        assert queue.poisoned() == {task_id: report}
+
+    def test_case_partial_of_an_earlier_layout_is_not_a_done_record(
+        self, tmp_path
+    ):
+        # Queues written before case tasks retired hold one
+        # partial-case-<key>.json per served miss.  Only a shard partial
+        # marks a task done, so such a task is claimed once more, loads
+        # its artifact as a cache hit, and retires.
+        queue = WorkQueue(tmp_path / "q", FAST)
+        cache = ArtifactCache(tmp_path / "cache")
+        case = _indexed_cases()[0][1]
+        cache.store(case, case.run())
+        task_id = queue.enqueue_case(case)
+        (queue.partials_dir / f"partial-{task_id}.json").write_text("{}")
+        with pytest.raises(ValueError, match="not a shard task id"):
+            queue.partial_path(task_id)
+        assert not queue.has_partial(task_id)
+        assert queue.scan().tasks[task_id].state == "open"
+        report = queue_worker(queue, cache, "w0", env_faults=False)
+        assert (report.claimed, report.computed, report.cached) == (1, 0, 1)
+        assert queue.task_ids() == []
+
+    def test_case_task_completed_twice_retires_once(self, tmp_path):
+        # The duplicated-completion path of
+        # test_stale_heartbeat_duplicated_completion_matches_serial, on a
+        # case task: w0 goes heartbeat-silent, the reaper requeues its
+        # lease, w1 completes (and retires) the task, then w0 completes
+        # it too and finds nothing left to delete.
+        queue = WorkQueue(tmp_path / "q", FAST)
+        cache_dir = tmp_path / "cache"
+        case = _indexed_cases()[0][1]
+        queue.enqueue_case(case)
+        silent = make_injector(queue, "w0", "stale-heartbeat")
+        reports = {}
+
+        def stale_then_duplicate(task_id, n_done):
+            if not reports:
+                stale = time.time() - 10.0
+                os.utime(queue.claim_path(task_id), (stale, stale))
+                assert [e.action for e in queue.requeue_stale()] == [
+                    "requeued"
+                ]
+                reports["w1"] = queue_worker(
+                    queue, cache_dir, "w1", env_faults=False
+                )
+
+        silent.on_case_done = stale_then_duplicate
+        report0 = queue_worker(
+            queue, cache_dir, "w0",
+            injector=silent, reap=False, env_faults=False,
+        )
+        assert (reports["w1"].completed, reports["w1"].cached) == (1, 1)
+        assert (report0.completed, report0.lost_lease) == (1, 0)
+        assert queue.task_ids() == []
+        for directory in (
+            queue.claims_dir, queue.attempts_dir, queue.poisoned_dir,
+            queue.partials_dir,
+        ):
+            assert list(directory.iterdir()) == []
+        loaded = ArtifactCache(cache_dir).load(case)
+        assert loaded is not None
+        assert case_result_to_json(loaded) == case_result_to_json(case.run())
+
+    def test_reopening_races_retirement_without_a_failed_attempt(
+        self, tmp_path
+    ):
+        # More worker threads than CPUs race a client that keeps
+        # reopening three served cases, and every idle worker reaps.
+        # However claims, retirements, reopenings and orphan-claim
+        # cleaning interleave, no attempt fails (with one attempt
+        # allowed, a failure would poison its case), nothing is
+        # recomputed, and the drained queue holds no task, claim,
+        # tombstone or poison report.
+        queue = WorkQueue(
+            tmp_path / "q",
+            QueueConfig(lease_seconds=60.0, poll_seconds=0.001, max_attempts=1),
+        )
+        cache = ArtifactCache(tmp_path / "cache")
+        cases = [case for _, case in _indexed_cases()[:3]]
+        for case in cases:
+            cache.store(case, case.run())
+        stored = {case.key: cache.path_for(case).read_bytes() for case in cases}
+        stop = threading.Event()
+        reports = []
+
+        def work(worker_id):
+            reports.append(
+                queue_worker(
+                    queue, cache.root, worker_id,
+                    forever=True, stop=stop, env_faults=False,
+                )
+            )
+
+        workers = [
+            threading.Thread(target=work, args=(f"w{k}",))
+            for k in range(len(os.sched_getaffinity(0)) + 2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in workers:
+                thread.start()
+            for k in range(300):
+                queue.enqueue_case(cases[k % len(cases)])
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and (
+                queue.task_ids() or any(queue.claims_dir.iterdir())
+            ):
+                time.sleep(0.01)
+        finally:
+            stop.set()
+            for thread in workers:
+                thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert queue.task_ids() == []
+        for directory in (
+            queue.claims_dir, queue.attempts_dir, queue.poisoned_dir,
+            queue.partials_dir,
+        ):
+            assert list(directory.iterdir()) == []
+        assert sum(r.failed for r in reports) == 0
+        assert sum(r.computed for r in reports) == 0
+        assert sum(r.completed for r in reports) >= len(cases)
+        for case in cases:
+            assert cache.path_for(case).read_bytes() == stored[case.key]
 
 
 class TestScanRaceHardening:
@@ -301,8 +582,21 @@ class TestScanRaceHardening:
         )
         # the tombstone names an attempt but its stat fails: no backoff
         # gate can be computed from it, so the task is claimable now
-        assert queue.ready_at(task) == 0.0
-        assert queue.claimable(task)
+        assert queue.scan(now=0.0).tasks[task].ready
+        assert queue.scan().tasks[task].ready
+
+    def test_dangling_claim_and_poison_report_do_not_count(self, tmp_path):
+        # A claim or poison report listed but gone by the time it is
+        # read counts for nothing, as a dangling partial counts for
+        # nothing: the task stays open and claimable.
+        queue, _ = _enqueued(tmp_path)
+        task = queue.task_ids()[0]
+        queue.claim_path(task).symlink_to(tmp_path / "gone.claim")
+        queue.poison_path(task).symlink_to(tmp_path / "gone.json")
+        scan = queue.scan()
+        assert scan.tasks[task] == TaskState("open", 0, True)
+        assert queue.status().poisoned == 0
+        assert queue.status_payload()["poisoned_tasks"] == {}
 
     def test_status_tolerates_vanishing_queue_state(self, tmp_path):
         queue, _ = _enqueued(tmp_path)
@@ -427,7 +721,7 @@ class TestQueueWorker:
             queue, tmp_path / "cache", "w0", wait=False, env_faults=False
         )
         assert report.failed >= 1
-        assert queue.attempts(task) >= 1
+        assert queue.scan().tasks[task].attempts >= 1
 
 
 class TestQueueBackend:

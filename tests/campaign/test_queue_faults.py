@@ -313,7 +313,7 @@ class TestWorkerSignals:
         assert proc.returncode == 3, out  # drained with work remaining
         # the claim came off gracefully: released, not retired
         assert not queue.claim_path(task).exists()
-        assert queue.attempts(task) == 0
+        assert queue.scan().tasks[task].attempts == 0
         assert not queue.has_partial(task)
         assert "released=1" in out
         # the released task is immediately claimable: a fresh worker

@@ -1,6 +1,7 @@
-"""The ``reprolint`` CLI: formats, exit codes, baselines, explain pages."""
+"""The ``reprolint`` CLI: formats, exit codes, pragmas, explain pages."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -19,7 +20,7 @@ class TestExitCodes:
         path = tmp_path / "mod.py"
         path.write_text(CLEAN)
         assert main([str(path)]) == 0
-        assert "0 new" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violation_exits_one_and_names_the_rule(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
@@ -29,6 +30,16 @@ class TestExitCodes:
         assert "RL003" in out
         assert f"{path.name}:5:" in out
 
+    def test_violation_under_its_pragma_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            VIOLATION.replace(
+                "time.time()", "time.time()  # reprolint: ignore[RL003]"
+            )
+        )
+        assert main([str(path)]) == 0
+        assert "0 finding(s), 1 suppressed" in capsys.readouterr().out
+
     def test_unparseable_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
         path.write_text("def broken(:\n")
@@ -36,37 +47,17 @@ class TestExitCodes:
         assert "RL000" in capsys.readouterr().out
 
 
-class TestBaselineFlow:
-    def test_update_then_gate_then_expire(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        baseline = tmp_path / "baseline.json"
-        path.write_text(VIOLATION)
-        assert main([str(path), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        capsys.readouterr()
-        # Accepted: the same violation no longer fails.
-        assert main([str(path), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # A second violation is new: fails, reporting only the new one.
-        path.write_text(VIOLATION + "\n\ndef other():\n"
-                        "    return time.time()\n")
-        assert main([str(path), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "1 new, 1 baselined" in out
-        # Fixing everything expires the entries but does not fail.
-        path.write_text(CLEAN)
-        assert main([str(path), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baseline entry expired" in out
-
-    def test_update_baseline_requires_a_file(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as err:
-            main([str(tmp_path), "--update-baseline"])
-        assert err.value.code == 2
+class TestSourceTree:
+    def test_src_is_clean_and_every_exception_carries_a_pragma(self, capsys):
+        # The CI gate has no baseline: any finding under src fails it, and
+        # each accepted exception is one of the six inline pragma sites.
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        assert main([str(src)]) == 0
+        assert "0 finding(s), 6 suppressed" in capsys.readouterr().out
 
 
 class TestJsonReport:
-    """Schema stability of ``--format=json`` (reprolint-report-v1)."""
+    """Schema stability of ``--format=json`` (reprolint-report-v2)."""
 
     def _report(self, tmp_path, capsys, source=VIOLATION):
         path = tmp_path / "mod.py"
@@ -78,20 +69,12 @@ class TestJsonReport:
         code, out = self._report(tmp_path, capsys)
         payload = json.loads(out)
         assert code == 1
-        assert payload["format"] == "reprolint-report-v1"
-        assert set(payload) == {
-            "format", "files", "suppressed", "findings", "new",
-            "baselined", "expired", "summary",
-        }
-        assert payload["summary"] == {
-            "total": 1, "new": 1, "baselined": 0, "expired": 0,
-        }
+        assert payload["format"] == "reprolint-report-v2"
+        assert set(payload) == {"format", "files", "suppressed", "findings"}
+        assert (payload["files"], payload["suppressed"]) == (1, 0)
         (finding,) = payload["findings"]
-        assert set(finding) == {
-            "path", "line", "col", "rule", "message", "fingerprint",
-        }
+        assert set(finding) == {"path", "line", "col", "rule", "message"}
         assert finding["rule"] == "RL003"
-        assert payload["new"] == [finding["fingerprint"]]
 
     def test_report_bytes_are_canonical(self, tmp_path, capsys):
         _, out = self._report(tmp_path, capsys)

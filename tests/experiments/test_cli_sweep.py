@@ -14,6 +14,7 @@ from repro.campaign import (
     ArtifactCache,
     QueueConfig,
     WorkQueue,
+    queue_worker,
     suite_aggregate_to_payload,
 )
 from repro.caseset import parse
@@ -192,6 +193,22 @@ class TestQueueStatusJson:
         assert canonical_json(payload) == canonical_json(
             queue.status_payload()
         )
+
+    def test_a_served_queue_lists_no_retired_case_task(
+        self, capsys, tmp_path
+    ):
+        # Every served case task retired: the cache is its only record,
+        # so queue-status lists none of them.
+        queue = WorkQueue(tmp_path / "queue").init()
+        for case in parse(EXPR).cases():
+            queue.enqueue_case(case)
+        queue_worker(queue, tmp_path / "cache", "w0", env_faults=False)
+        assert main(
+            ["campaign", "queue-status", str(queue.root), "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["total"], payload["tasks"]) == (0, {})
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
     def test_poisoned_queue_exits_nonzero(self, capsys, tmp_path):
         queue = WorkQueue(

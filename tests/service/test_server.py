@@ -141,6 +141,18 @@ def get_raw(service: RobustnessService, path: str, timeout: float = 60.0):
         return err.code, dict(err.headers), err.read()
 
 
+def wait_retired(service: RobustnessService, timeout: float = 10.0) -> None:
+    """Give the fleet up to ``timeout`` to retire every queued task.
+
+    A served miss's task retires just after its artifact lands, so a
+    test that damages the artifact waits for that first: a re-enqueue
+    landing before the retirement would be deleted with the task.
+    """
+    deadline = time.monotonic() + timeout
+    while service.queue.task_ids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def get(service: RobustnessService, path: str, timeout: float = 60.0):
     """GET against the running service; returns (status, headers, body)."""
     status, headers, raw = get_raw(service, path, timeout=timeout)
@@ -376,6 +388,35 @@ class TestMissPath:
             status, _, body = get(service, f"/case?{qs(MISS)}")
             assert status == 200 and body["source"] == "hit"
             assert service.cache.stats.scans == scans_before
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_served_miss_with_a_damaged_artifact_is_recomputed(
+        self, tmp_path, miss_case, miss_result, damage
+    ):
+        # A served miss leaves no record on the queue: its case task
+        # retired, so once its artifact is pruned or corrupted the next
+        # request dispatches the case again instead of waiting out the
+        # deadline on a task the queue counts as done.
+        config = _config(tmp_path)
+        with serving(config) as service, fleet_thread(service):
+            status, _, body = get(service, f"/case?{qs(MISS)}")
+            assert (status, body["source"]) == (200, "miss")
+            wait_retired(service)
+            artifact = service.cache.path_for(miss_case)
+            if damage == "deleted":
+                artifact.unlink()
+            else:
+                artifact.write_bytes(artifact.read_bytes()[:100])
+            start = time.monotonic()
+            status, _, body = get(service, f"/case?{qs(MISS)}")
+            elapsed = time.monotonic() - start
+            assert status == 200, body
+            assert body["source"] == "miss"
+            assert_identical(body, miss_case, miss_result)
+            assert elapsed < config.deadline_seconds / 2
+            status, _, body = get(service, f"/case?{qs(MISS)}")
+            assert (status, body["source"]) == (200, "hit")
+            assert_identical(body, miss_case, miss_result)
 
     def test_deadline_is_a_504_and_the_task_survives(
         self, tmp_path, miss_case

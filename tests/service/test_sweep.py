@@ -44,6 +44,7 @@ from tests.service.test_server import (
     get,
     qs,
     serving,
+    wait_retired,
 )
 
 #: Cheap-case modifiers shared by every sweep in this file (HIT-sized).
@@ -225,6 +226,28 @@ class TestColdSweep:
 
 
 class TestSweepFaults:
+    def test_served_case_with_a_truncated_artifact_is_recomputed(
+        self, tmp_path
+    ):
+        # The served case's task retired with its first sweep, so the
+        # second sweep, finding the artifact truncated, dispatches the
+        # case again and ends done instead of running out its deadline.
+        one = parse(f"graph[rand10] x ul[1.1] x seed[0] x {MODS}")
+        config = _config(tmp_path, sweep_deadline_seconds=20.0)
+        service = RobustnessService(config)
+        with fleet_thread(service):
+            first = collect(service.handle_sweep({"expr": one.fold()})[2])
+            assert first[-1][0] == "done", first[-1]
+            wait_retired(service)
+            artifact = service.cache.path_for(one.cases()[0])
+            artifact.write_bytes(artifact.read_bytes()[:100])
+            events = collect(service.handle_sweep({"expr": one.fold()})[2])
+        assert events[-1][0] == "done", events[-1]
+        assert canonical_json(events[-1][1]["aggregate"]) == oracle_bytes(
+            tmp_path, one
+        )
+        assert service.queue.task_ids() == []
+
     @pytest.mark.fleet
     def test_sweep_survives_a_worker_kill_byte_identically(self, tmp_path):
         """kill-worker mid-sweep: the redispatched task lands, bytes hold."""
